@@ -189,6 +189,66 @@ writeTraceOverheadReport()
 }
 
 /**
+ * Evaluator overhead of one plan: best-of time of evaluatePlan over
+ * best-of time of the raw evaluateOp / systemCollective calls on the
+ * same steps. Both sides run on the same host against the same warm
+ * tile cache, so the ratio is machine-independent: it measures only
+ * what the evaluator adds on top of the models.
+ */
+double
+planOverRaw(const plan::KernelPlan &kp, const System &sys)
+{
+    using clock = std::chrono::steady_clock;
+    // Best of 15 reps, each about 20k steps long, so a sub-millisecond
+    // training plan and a long decode plan are timed equally well.
+    const int reps = 15;
+    const int iters = std::max<int>(
+        3, int(20000 / std::max<size_t>(1, kp.steps.size())));
+
+    auto raw = [&] {
+        double s = 0.0;
+        for (const plan::PlanStep &st : kp.steps) {
+            if (st.kind == plan::StepKind::Compute)
+                for (const plan::ComputePart &part : st.parts)
+                    for (const Op &op : part.ops)
+                        s += evaluateOp(sys.device, op).time;
+            else if (st.kind == plan::StepKind::Collective)
+                s += systemCollective(sys, st.collective, st.volume,
+                                      st.groupSize, st.scope,
+                                      st.algorithm)
+                         .time;
+        }
+        return s;
+    };
+    auto per_iter_ns = [&](clock::time_point t0) {
+        return std::chrono::duration<double, std::nano>(clock::now() -
+                                                        t0)
+                   .count() /
+               iters;
+    };
+
+    benchmark::DoNotOptimize(plan::evaluatePlan(kp, sys));  // warm
+    double evaluate_ns = 1e300;
+    double raw_ns = 1e300;
+    for (int r = 0; r < reps; ++r) {
+        // Plan copies and result destruction stay outside the timer.
+        std::vector<plan::KernelPlan> in(size_t(iters), kp);
+        std::vector<plan::EvaluatedPlan> out;
+        out.reserve(size_t(iters));
+        clock::time_point t0 = clock::now();
+        for (plan::KernelPlan &p : in)
+            out.push_back(plan::evaluatePlan(std::move(p), sys));
+        evaluate_ns = std::min(evaluate_ns, per_iter_ns(t0));
+
+        t0 = clock::now();
+        for (int i = 0; i < iters; ++i)
+            benchmark::DoNotOptimize(raw());
+        raw_ns = std::min(raw_ns, per_iter_ns(t0));
+    }
+    return evaluate_ns / raw_ns;
+}
+
+/**
  * Serial-vs-parallel A/B of the two sweep-shaped engines (planner
  * enumeration and DSE search) plus a tile-cache on/off A/B, written
  * as BENCH_sweep_speedup.json. The acceptance gates: results must be
@@ -323,6 +383,20 @@ writeSweepSpeedupReport()
         dse_serial.evaluations != dse_parallel.evaluations)
         dse_divergences = 1;
 
+    // Evaluator overhead over the raw models, on the two single-point
+    // evaluations the micro-benchmarks above time.
+    ParallelConfig train_par;
+    train_par.tensorParallel = 8;
+    train_par.pipelineParallel = 8;
+    System train_sys = presets::dgxA100(8);
+    double train_over_raw = planOverRaw(
+        plan::lowerTraining(model, train_sys, train_par, 64, {}),
+        train_sys);
+    System infer_sys = presets::dgxA100(1);
+    double infer_over_raw = planOverRaw(
+        plan::lowerInference(models::llama2_13b(), infer_sys, {}),
+        infer_sys);
+
     JsonValue out = JsonValue::object();
     out.set("benchmark", JsonValue::string("sweep_speedup"));
     out.set("hardware_concurrency",
@@ -359,6 +433,8 @@ writeSweepSpeedupReport()
             JsonValue::number(double(cache.misses)));
     out.set("tile_cache_hit_rate_pct",
             JsonValue::number(100.0 * cache.hitRate()));
+    out.set("train_plan_over_raw", JsonValue::number(train_over_raw));
+    out.set("infer_plan_over_raw", JsonValue::number(infer_over_raw));
 
     std::ofstream f("BENCH_sweep_speedup.json");
     f << out.dump(2) << "\n";
@@ -368,7 +444,9 @@ writeSweepSpeedupReport()
               << planner_divergences + dse_divergences
               << " divergences), tile cache "
               << 100.0 * cache.hitRate()
-              << "% hits -> BENCH_sweep_speedup.json\n";
+              << "% hits, evaluatePlan over raw models "
+              << train_over_raw << "x train / " << infer_over_raw
+              << "x infer -> BENCH_sweep_speedup.json\n";
     return out;
 }
 

@@ -3,123 +3,32 @@
  * The single evaluator: maps every PlanStep through the roofline
  * (workload/graph.h) and collective (comm/collective.h) models.
  *
- * Op-list evaluations are memoized — always within one plan (the
- * recompute step reuses the forward estimate, decode heads repeat per
- * token), and optionally across plans through a shared EvalCache
- * (planner candidates differing only in DP degree lower to identical
- * op lists). Cached values are deterministic, so neither memo level
- * can change results at any thread count.
+ * There is no op-list memo here: the process-wide GEMM tile cache
+ * (roofline/gemm.cpp) is the engine's only memo. Every estimate is
+ * recomputed from the op, so results are independent of evaluation
+ * order and thread count.
  */
 
 #include "plan/plan.h"
 
 #include <algorithm>
-#include <cstdio>
 
 namespace optimus {
 namespace plan {
 
-bool
-EvalCache::lookup(const std::string &key, KernelEstimate *out) const
-{
-    std::lock_guard<std::mutex> lock(mu_);
-    auto it = entries_.find(key);
-    if (it == entries_.end())
-        return false;
-    *out = it->second;
-    return true;
-}
-
-void
-EvalCache::insert(const std::string &key, const KernelEstimate &est)
-{
-    std::lock_guard<std::mutex> lock(mu_);
-    entries_.emplace(key, est);
-}
-
-size_t
-EvalCache::size() const
-{
-    std::lock_guard<std::mutex> lock(mu_);
-    return entries_.size();
-}
-
 namespace {
 
-void
-appendDouble(std::string &sig, double v)
-{
-    char buf[40];
-    std::snprintf(buf, sizeof buf, "%.17g", v);
-    sig += buf;
-    sig += ';';
-}
-
-void
-appendInt(std::string &sig, long long v)
-{
-    sig += std::to_string(v);
-    sig += ';';
-}
-
 /**
- * Full numeric signature of an op list on one device. Labels are
- * excluded (they never affect the numbers); every field evaluateOp
- * reads is included.
+ * Evaluate one compute part. A single op goes through evaluateOp
+ * directly so the estimate is bit-identical to the per-kernel detail
+ * path.
  */
-std::string
-opsSignature(const Device &dev, const std::vector<Op> &ops)
-{
-    std::string sig = dev.name;
-    sig += '|';
-    for (const Op &op : ops) {
-        appendInt(sig, static_cast<long long>(op.kind));
-        appendInt(sig, op.gemm.m);
-        appendInt(sig, op.gemm.n);
-        appendInt(sig, op.gemm.k);
-        appendInt(sig, static_cast<long long>(op.gemm.precision));
-        appendInt(sig, op.count);
-        appendInt(sig, op.launchCount);
-        appendDouble(sig, op.rows);
-        appendDouble(sig, op.cols);
-        appendDouble(sig, op.elements);
-        appendDouble(sig, op.flopsPerElement);
-        appendDouble(sig, op.fusedFlops);
-        appendDouble(sig, op.fusedDramBytes);
-        appendDouble(sig, op.fusedOnChipBytes);
-        appendInt(sig, static_cast<long long>(op.fusedPrecision));
-        appendDouble(sig, op.streamBytes);
-        appendDouble(sig, op.streamFlops);
-        appendInt(sig, static_cast<long long>(op.streamPrecision));
-        sig += op.fused ? 'f' : 'u';
-        sig += '|';
-    }
-    return sig;
-}
-
-/** Memoized evaluation of one compute part. */
 KernelEstimate
-evaluatePart(const Device &dev, const ComputePart &part,
-             std::map<std::string, KernelEstimate> &local,
-             EvalCache *shared)
+evaluatePart(const Device &dev, const ComputePart &part)
 {
-    std::string key = opsSignature(dev, part.ops);
-    KernelEstimate est;
-    auto it = local.find(key);
-    if (it != local.end()) {
-        est = it->second;
-    } else if (shared != nullptr && shared->lookup(key, &est)) {
-        local.emplace(key, est);
-    } else {
-        // A single op goes through evaluateOp directly so the cached
-        // estimate is bit-identical to the per-kernel detail path.
-        est = (part.ops.size() == 1)
-                  ? evaluateOp(dev, part.ops[0])
-                  : evaluateOps(dev, part.ops, part.label);
-        local.emplace(key, est);
-        if (shared != nullptr)
-            shared->insert(key, est);
-    }
+    KernelEstimate est = (part.ops.size() == 1)
+                             ? evaluateOp(dev, part.ops[0])
+                             : evaluateOps(dev, part.ops, part.label);
     est.kernel =
         part.ops.size() == 1 ? part.ops[0].name : part.label;
     return est;
@@ -135,7 +44,6 @@ evaluatePlan(KernelPlan plan, const System &sys,
     ep.dev = sys.device;
     ep.evals.reserve(plan.steps.size());
 
-    std::map<std::string, KernelEstimate> local;
     // Running busy time of the steps evaluated so far — the quantity
     // the pipeline-bubble step scales (the bubble is lowered after
     // every per-iteration step and before DP/optimizer).
@@ -151,8 +59,8 @@ evaluatePlan(KernelPlan plan, const System &sys,
           case StepKind::Compute: {
             double combined = 0.0;
             for (size_t pi = 0; pi < st.parts.size(); ++pi) {
-                KernelEstimate est = evaluatePart(
-                    ep.dev, st.parts[pi], local, opts.cache);
+                KernelEstimate est =
+                    evaluatePart(ep.dev, st.parts[pi]);
                 double scaled = est.time * st.parts[pi].scale;
                 if (pi == 0)
                     combined = scaled;

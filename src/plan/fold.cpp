@@ -9,6 +9,8 @@
 
 #include "plan/plan.h"
 
+#include <map>
+
 #include "trace/trace.h"
 #include "util/error.h"
 

@@ -31,8 +31,6 @@
 #ifndef OPTIMUS_PLAN_PLAN_H
 #define OPTIMUS_PLAN_PLAN_H
 
-#include <map>
-#include <mutex>
 #include <string>
 #include <utility>
 #include <vector>
@@ -154,29 +152,6 @@ struct KernelPlan
     double bubbleFraction = 0.0;
 };
 
-/**
- * Shared memo of op-list roofline evaluations, keyed by device name
- * plus a full op signature. Thread-safe; entries are deterministic
- * (any racing computation of the same key produces the identical
- * estimate), so sharing a cache across exec-layer workers cannot
- * change results. Share one cache only across evaluations against the
- * same System — the key does not hash the device parameters.
- */
-class EvalCache
-{
-  public:
-    /** Copy the entry for @p key into @p out; false when absent. */
-    bool lookup(const std::string &key, KernelEstimate *out) const;
-    /** Insert (first writer wins; later identical inserts are no-ops). */
-    void insert(const std::string &key, const KernelEstimate &est);
-    /** Number of cached op-list evaluations. */
-    size_t size() const;
-
-  private:
-    mutable std::mutex mu_;
-    std::map<std::string, KernelEstimate> entries_;
-};
-
 /** Evaluator knobs. */
 struct EvaluateOptions
 {
@@ -186,7 +161,6 @@ struct EvaluateOptions
      * RunRecord kernel aggregates are wanted.
      */
     bool detail = false;
-    EvalCache *cache = nullptr;  ///< optional shared memo
 };
 
 /** Evaluation result of one step. */

@@ -52,7 +52,6 @@ runTraining(const TransformerConfig &cfg, const System &sys,
 
     EvaluateOptions eo;
     eo.detail = detail || tracing(opts.trace);
-    eo.cache = opts.evalCache;
 
     TrainingRun run;
     run.plan = evaluatePlan(std::move(kp), sys, eo);
@@ -90,7 +89,6 @@ runInference(const TransformerConfig &cfg, const System &sys,
 
     EvaluateOptions eo;
     eo.detail = detail || tracing(opts.trace);
-    eo.cache = opts.evalCache;
 
     InferenceRun run;
     run.plan = evaluatePlan(std::move(kp), sys, eo);

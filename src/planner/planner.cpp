@@ -5,7 +5,6 @@
 #include "exec/exec.h"
 #include "lint/lint.h"
 #include "memory/footprint.h"
-#include "plan/plan.h"
 #include "trace/trace.h"
 #include "util/error.h"
 
@@ -129,12 +128,7 @@ planTraining(const TransformerConfig &model, const System &sys,
     // independent pure functions, fanned out through the exec layer
     // and written by slot — the plans vector is bit-identical to a
     // serial run at any thread count (and sized from the candidate
-    // count up front). Candidates with different (tp, microbatch,
-    // recompute) mappings still lower to many identical kernels on
-    // the same device, so one shared estimate cache serves the whole
-    // sweep; cached estimates are exact replays, keeping results
-    // independent of hit order and thread count.
-    plan::EvalCache cache;
+    // count up front).
     std::vector<TrainingPlan> plans =
         exec::parallelMap(
             static_cast<long long>(candidates.size()), opts.threads,
@@ -144,11 +138,9 @@ planTraining(const TransformerConfig &model, const System &sys,
                 TrainingPlan plan;
                 plan.parallel = c.parallel;
                 plan.options = c.options;
-                plan.options.evalCache = &cache;
                 plan.report = evaluateTraining(
                     model, sys, c.parallel, global_batch,
                     plan.options);
-                plan.options.evalCache = nullptr;
                 return plan;
             });
 

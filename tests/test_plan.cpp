@@ -18,6 +18,7 @@
 #include "exec/exec.h"
 #include "hw/presets.h"
 #include "plan/plan.h"
+#include "roofline/gemm.h"
 #include "workload/presets.h"
 
 namespace optimus {
@@ -128,19 +129,16 @@ TEST(Plan, StepIdentitiesDeterministicAcrossThreads)
     plan::EvaluatedPlan ref = plan::evaluatePlan(
         plan::lowerTraining(model, sys, par, 64, opts), sys);
 
-    // Eight workers re-evaluate the same plan through one shared
-    // estimate cache; every replica must be bit-identical to the
-    // serial reference, step by step.
-    plan::EvalCache cache;
-    plan::EvaluateOptions eo;
-    eo.cache = &cache;
+    // Eight workers re-evaluate the same plan concurrently through the
+    // shared tile cache (roofline/gemm.h); every replica must be
+    // bit-identical to the serial reference, step by step.
+    const TileCacheStats before = tileCacheStats();
     std::vector<plan::EvaluatedPlan> replicas = exec::parallelMap(
         8, 8, [&](long long) {
             return plan::evaluatePlan(
-                plan::lowerTraining(model, sys, par, 64, opts), sys,
-                eo);
+                plan::lowerTraining(model, sys, par, 64, opts), sys);
         });
-    EXPECT_GT(cache.size(), 0u);
+    EXPECT_GT(tileCacheStats().hits, before.hits);
     for (const plan::EvaluatedPlan &ep : replicas) {
         ASSERT_EQ(ref.plan.steps.size(), ep.plan.steps.size());
         for (size_t i = 0; i < ref.plan.steps.size(); ++i) {
@@ -151,6 +149,45 @@ TEST(Plan, StepIdentitiesDeterministicAcrossThreads)
                       ep.evals[i].perInstance);
         }
     }
+}
+
+TEST(Plan, SingleOpPartsMatchEvaluateOpBitForBit)
+{
+    // A single-op part goes straight through evaluateOp, so its
+    // estimate is exactly the per-kernel detail estimate of that op.
+    TransformerConfig model = models::llama2_13b();
+    System sys = presets::dgxA100(1);
+    InferenceOptions opts = table2Options();
+    opts.generateLength = 64;
+
+    plan::EvaluateOptions eo;
+    eo.detail = true;
+    plan::EvaluatedPlan ep = plan::evaluatePlan(
+        plan::lowerInference(model, sys, opts), sys, eo);
+
+    size_t checked = 0;
+    for (size_t i = 0; i < ep.plan.steps.size(); ++i) {
+        const plan::PlanStep &st = ep.plan.steps[i];
+        if (st.kind != plan::StepKind::Compute)
+            continue;
+        for (size_t pi = 0; pi < st.parts.size(); ++pi) {
+            if (st.parts[pi].ops.size() != 1)
+                continue;
+            const Op &op = st.parts[pi].ops[0];
+            KernelEstimate want = evaluateOp(ep.dev, op);
+            const KernelEstimate &got = ep.evals[i].partEsts[pi];
+            EXPECT_EQ(op.name, got.kernel);
+            EXPECT_EQ(want.flops, got.flops);
+            EXPECT_EQ(want.bytesPerLevel, got.bytesPerLevel);
+            EXPECT_EQ(want.computeTime, got.computeTime);
+            EXPECT_EQ(want.memTimePerLevel, got.memTimePerLevel);
+            EXPECT_EQ(want.overhead, got.overhead);
+            EXPECT_EQ(want.time, got.time);
+            EXPECT_EQ(want.boundLevel, got.boundLevel);
+            ++checked;
+        }
+    }
+    EXPECT_GT(checked, size_t(opts.generateLength));
 }
 
 TEST(Plan, JsonDumpRoundTrips)

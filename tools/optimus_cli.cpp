@@ -38,16 +38,30 @@ namespace {
 using Args = Flags;
 
 JsonValue
+readConfigFile(const std::string &path)
+{
+    std::ifstream in(path);
+    checkConfig(in.good(), "cannot open config file " + path);
+    std::stringstream ss;
+    ss << in.rdbuf();
+    return JsonValue::parse(ss.str());
+}
+
+JsonValue
 loadConfig(const Args &args)
 {
     if (!args.has("config"))
         return JsonValue::object();
-    std::ifstream in(args.get("config", ""));
-    checkConfig(in.good(),
-                "cannot open config file " + args.get("config", ""));
-    std::stringstream ss;
-    ss << in.rdbuf();
-    return JsonValue::parse(ss.str());
+    return readConfigFile(args.get("config", ""));
+}
+
+/** The positional config operand, else --config FILE, else {}. */
+JsonValue
+loadConfigOperand(const Args &args)
+{
+    if (args.positionals().empty())
+        return loadConfig(args);
+    return readConfigFile(args.positionals().front());
 }
 
 TransformerConfig
@@ -129,25 +143,76 @@ resolveInferenceOptions(const Args &args, const JsonValue &cfg)
     return opts;
 }
 
-int
-cmdTrain(const Args &args)
+/** "infer" or "train": --mode, else what the config's sections imply. */
+std::string
+resolveMode(const Args &args, const JsonValue &cfg)
 {
-    JsonValue cfg = loadConfig(args);
-    TransformerConfig model = resolveModel(args, cfg);
-    System sys = resolveSystem(args, cfg);
-    ParallelConfig par = resolveParallel(args, cfg);
+    return args.get("mode", (cfg.isObject() && cfg.has("inference"))
+                                ? "infer"
+                                : "train");
+}
+
+/** One single-point training or inference evaluation to run. */
+struct Evaluation
+{
+    TransformerConfig model;
+    System sys;
+    bool infer = false;
+    InferenceOptions inference;  ///< infer only
+    ParallelConfig par;          ///< train only
+    long long batch = 64;        ///< train only (global batch)
+    TrainingOptions training;    ///< train only
+};
+
+Evaluation
+resolveEvaluation(const Args &args, const JsonValue &cfg, bool infer)
+{
+    Evaluation ev;
+    ev.model = resolveModel(args, cfg);
+    ev.sys = resolveSystem(args, cfg);
+    ev.infer = infer;
+    if (infer) {
+        ev.inference = resolveInferenceOptions(args, cfg);
+        return ev;
+    }
+    ev.par = resolveParallel(args, cfg);
     // Convenience: fill the data-parallel degree from the system size
     // when the user gave only TP/PP.
     if (!args.has("dp") && !(cfg.isObject() && cfg.has("parallel"))) {
-        long long rest = par.tensorParallel * par.pipelineParallel;
-        if (sys.totalDevices() % rest == 0)
-            par.dataParallel = sys.totalDevices() / rest;
+        long long rest = ev.par.tensorParallel * ev.par.pipelineParallel;
+        if (ev.sys.totalDevices() % rest == 0)
+            ev.par.dataParallel = ev.sys.totalDevices() / rest;
     }
-    long long batch = args.getInt("batch", 64);
+    ev.batch = args.getInt("batch", 64);
+    ev.training = resolveTrainingOptions(args, cfg);
+    return ev;
+}
 
-    TrainingOptions opts = resolveTrainingOptions(args, cfg);
+/**
+ * Lint @p ev before it is lowered: a LintError (a ConfigError naming
+ * the failing rule IDs) when any rule errs; warnings are returned.
+ */
+lint::LintReport
+refuseLintErrors(const Evaluation &ev)
+{
+    lint::LintReport report =
+        ev.infer ? lint::lintInference(ev.model, ev.sys, ev.inference)
+                 : lint::lintTraining(ev.model, ev.sys, ev.par,
+                                      ev.batch, ev.training);
+    lint::enforce(report);
+    return report;
+}
 
-    TrainingReport rep = evaluateTraining(model, sys, par, batch,
+int
+cmdTrain(const Args &args)
+{
+    Evaluation ev =
+        resolveEvaluation(args, loadConfigOperand(args), false);
+    const TransformerConfig &model = ev.model;
+    const System &sys = ev.sys;
+    const TrainingOptions &opts = ev.training;
+
+    TrainingReport rep = evaluateTraining(model, sys, ev.par, ev.batch,
                                           opts);
 
     if (args.has("json")) {
@@ -156,13 +221,13 @@ cmdTrain(const Args &args)
     }
 
     std::cout << model.name << " on " << sys.totalDevices() << "x "
-              << sys.device.name << " (" << par.label()
-              << ", batch " << batch << ", "
+              << sys.device.name << " (" << ev.par.label()
+              << ", batch " << ev.batch << ", "
               << recomputeName(opts.recompute) << " recompute)\n\n"
               << "  time/batch : " << formatTime(rep.timePerBatch)
               << "\n"
               << "  throughput : "
-              << double(batch) * opts.seqLength / rep.timePerBatch
+              << double(ev.batch) * opts.seqLength / rep.timePerBatch
               << " tokens/s\n"
               << "  MFU        : " << rep.mfu * 100.0 << " %\n"
               << "  compute    : " << formatTime(rep.time.compute())
@@ -439,60 +504,30 @@ cmdLint(const Args &args)
 int
 cmdTrace(const Args &args)
 {
-    std::string path = args.positionals().empty()
-                           ? args.get("config", "")
-                           : args.positionals().front();
-    JsonValue cfg = JsonValue::object();
-    if (!path.empty()) {
-        std::ifstream in(path);
-        checkConfig(in.good(), "cannot open config file " + path);
-        std::stringstream ss;
-        ss << in.rdbuf();
-        cfg = JsonValue::parse(ss.str());
-    }
-
-    TransformerConfig model = resolveModel(args, cfg);
-    System sys = resolveSystem(args, cfg);
-    bool infer = (cfg.isObject() && cfg.has("inference")) ||
-                 args.get("mode", "train") == "infer";
+    JsonValue cfg = loadConfigOperand(args);
+    Evaluation ev =
+        resolveEvaluation(args, cfg, resolveMode(args, cfg) == "infer");
+    const TransformerConfig &model = ev.model;
+    const System &sys = ev.sys;
+    lint::LintReport lrep = refuseLintErrors(ev);
 
     TraceSession session;
+    session.counterAdd("lint/diagnostics",
+                       double(lrep.diagnostics().size()));
+    session.counterAdd("lint/errors", double(lrep.errorCount()));
+    session.counterAdd("lint/warnings", double(lrep.warningCount()));
     double model_total = 0.0;
     std::string what;
-    if (infer) {
-        InferenceOptions opts = resolveInferenceOptions(args, cfg);
-        lint::LintReport lrep = lint::lintInference(model, sys, opts);
-        session.counterAdd("lint/diagnostics",
-                           double(lrep.diagnostics().size()));
-        session.counterAdd("lint/errors", double(lrep.errorCount()));
-        session.counterAdd("lint/warnings",
-                           double(lrep.warningCount()));
-        opts.trace = &session;
-        InferenceReport rep = evaluateInference(model, sys, opts);
-        model_total = rep.totalLatency;
+    if (ev.infer) {
+        ev.inference.trace = &session;
+        model_total =
+            evaluateInference(model, sys, ev.inference).totalLatency;
         what = "inference latency";
     } else {
-        ParallelConfig par = resolveParallel(args, cfg);
-        if (!args.has("dp") &&
-            !(cfg.isObject() && cfg.has("parallel"))) {
-            long long rest =
-                par.tensorParallel * par.pipelineParallel;
-            if (sys.totalDevices() % rest == 0)
-                par.dataParallel = sys.totalDevices() / rest;
-        }
-        long long batch = args.getInt("batch", 64);
-        TrainingOptions opts = resolveTrainingOptions(args, cfg);
-        lint::LintReport lrep =
-            lint::lintTraining(model, sys, par, batch, opts);
-        session.counterAdd("lint/diagnostics",
-                           double(lrep.diagnostics().size()));
-        session.counterAdd("lint/errors", double(lrep.errorCount()));
-        session.counterAdd("lint/warnings",
-                           double(lrep.warningCount()));
-        opts.trace = &session;
-        TrainingReport rep =
-            evaluateTraining(model, sys, par, batch, opts);
-        model_total = rep.timePerBatch;
+        ev.training.trace = &session;
+        model_total = evaluateTraining(model, sys, ev.par, ev.batch,
+                                       ev.training)
+                          .timePerBatch;
         what = "training time per batch";
     }
 
@@ -548,45 +583,25 @@ cmdTrace(const Args &args)
 int
 cmdKernels(const Args &args)
 {
-    std::string path = args.positionals().empty()
-                           ? args.get("config", "")
-                           : args.positionals().front();
-    JsonValue cfg = JsonValue::object();
-    if (!path.empty()) {
-        std::ifstream in(path);
-        checkConfig(in.good(), "cannot open config file " + path);
-        std::stringstream ss;
-        ss << in.rdbuf();
-        cfg = JsonValue::parse(ss.str());
-    }
-
-    TransformerConfig model = resolveModel(args, cfg);
-    System sys = resolveSystem(args, cfg);
-    bool infer = (cfg.isObject() && cfg.has("inference")) ||
-                 args.get("mode", "train") == "infer";
+    JsonValue cfg = loadConfigOperand(args);
+    Evaluation ev =
+        resolveEvaluation(args, cfg, resolveMode(args, cfg) == "infer");
+    const TransformerConfig &model = ev.model;
+    const System &sys = ev.sys;
+    refuseLintErrors(ev);
 
     plan::EvaluatedPlan ep;
     double model_total = 0.0;
     std::string what;
-    if (infer) {
-        InferenceOptions opts = resolveInferenceOptions(args, cfg);
-        plan::InferenceRun run = plan::runInference(model, sys, opts);
+    if (ev.infer) {
+        plan::InferenceRun run =
+            plan::runInference(model, sys, ev.inference);
         ep = std::move(run.plan);
         model_total = run.report.totalLatency;
         what = "inference latency";
     } else {
-        ParallelConfig par = resolveParallel(args, cfg);
-        if (!args.has("dp") &&
-            !(cfg.isObject() && cfg.has("parallel"))) {
-            long long rest =
-                par.tensorParallel * par.pipelineParallel;
-            if (sys.totalDevices() % rest == 0)
-                par.dataParallel = sys.totalDevices() / rest;
-        }
-        long long batch = args.getInt("batch", 64);
-        TrainingOptions opts = resolveTrainingOptions(args, cfg);
-        plan::TrainingRun run =
-            plan::runTraining(model, sys, par, batch, opts);
+        plan::TrainingRun run = plan::runTraining(
+            model, sys, ev.par, ev.batch, ev.training);
         ep = std::move(run.plan);
         model_total = run.report.timePerBatch;
         what = "training time per batch";
@@ -792,45 +807,19 @@ cmdDse(const Args &args)
 int
 cmdRecord(const Args &args)
 {
-    std::string path = args.positionals().empty()
-                           ? args.get("config", "")
-                           : args.positionals().front();
-    JsonValue cfg = JsonValue::object();
-    if (!path.empty()) {
-        std::ifstream in(path);
-        checkConfig(in.good(), "cannot open config file " + path);
-        std::stringstream ss;
-        ss << in.rdbuf();
-        cfg = JsonValue::parse(ss.str());
-    }
-
-    std::string mode = args.get(
-        "mode", (cfg.isObject() && cfg.has("inference")) ? "infer"
-                                                         : "train");
+    JsonValue cfg = loadConfigOperand(args);
+    std::string mode = resolveMode(args, cfg);
     report::RunRecord rec;
     if (mode == "infer") {
-        TransformerConfig model = resolveModel(args, cfg);
-        System sys = resolveSystem(args, cfg);
-        InferenceOptions opts = resolveInferenceOptions(args, cfg);
+        Evaluation ev = resolveEvaluation(args, cfg, true);
         rec = report::recordInference(
-            model, sys, opts,
-            args.get("label", model.name + " inference"));
+            ev.model, ev.sys, ev.inference,
+            args.get("label", ev.model.name + " inference"));
     } else if (mode == "train") {
-        TransformerConfig model = resolveModel(args, cfg);
-        System sys = resolveSystem(args, cfg);
-        ParallelConfig par = resolveParallel(args, cfg);
-        if (!args.has("dp") &&
-            !(cfg.isObject() && cfg.has("parallel"))) {
-            long long rest =
-                par.tensorParallel * par.pipelineParallel;
-            if (sys.totalDevices() % rest == 0)
-                par.dataParallel = sys.totalDevices() / rest;
-        }
-        long long batch = args.getInt("batch", 64);
-        TrainingOptions opts = resolveTrainingOptions(args, cfg);
+        Evaluation ev = resolveEvaluation(args, cfg, false);
         rec = report::recordTraining(
-            model, sys, par, batch, opts,
-            args.get("label", model.name + " training"));
+            ev.model, ev.sys, ev.par, ev.batch, ev.training,
+            args.get("label", ev.model.name + " training"));
     } else if (mode == "plan") {
         TransformerConfig model = resolveModel(args, cfg);
         System sys = resolveSystem(args, cfg);
