@@ -199,16 +199,17 @@ double
 planOverRaw(const plan::KernelPlan &kp, const System &sys)
 {
     using clock = std::chrono::steady_clock;
-    // Best of 15 reps, each about 20k steps long, so a sub-millisecond
-    // training plan and a long decode plan are timed equally well.
-    const int reps = 15;
-    const int iters = std::max<int>(
-        3, int(20000 / std::max<size_t>(1, kp.steps.size())));
-
+    // The raw side makes the model calls the evaluator makes: a range
+    // step that binds the attended span once per token (its op rebound
+    // to the token's span), every other step once.
     auto raw = [&] {
         double s = 0.0;
         for (const plan::PlanStep &st : kp.steps) {
-            if (st.kind == plan::StepKind::Compute)
+            if (plan::bindsSpan(st))
+                for (long long t = 0; t < st.tokens; ++t)
+                    s += evaluateOp(sys.device, plan::tokenOp(st, t))
+                             .time;
+            else if (st.kind == plan::StepKind::Compute)
                 for (const plan::ComputePart &part : st.parts)
                     for (const Op &op : part.ops)
                         s += evaluateOp(sys.device, op).time;
@@ -220,6 +221,15 @@ planOverRaw(const plan::KernelPlan &kp, const System &sys)
         }
         return s;
     };
+    long long calls = 0;
+    for (const plan::PlanStep &st : kp.steps)
+        calls += plan::bindsSpan(st) ? st.tokens : 1;
+    // Best of 15 reps, each about 20k model calls long, so a
+    // sub-millisecond training plan and a long decode plan are timed
+    // equally well.
+    const int reps = 15;
+    const int iters =
+        std::max<int>(3, int(20000 / std::max<long long>(1, calls)));
     auto per_iter_ns = [&](clock::time_point t0) {
         return std::chrono::duration<double, std::nano>(clock::now() -
                                                         t0)

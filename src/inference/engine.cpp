@@ -8,7 +8,7 @@
 namespace optimus {
 
 // The whole evaluation lives in the plan pipeline (plan/plan.h):
-// lowerInference builds the per-(phase, token, op) step list,
+// lowerInference builds the step list (one decode range step per op),
 // evaluatePlan runs the roofline and collective models, foldInference
 // produces the PhaseReports and the trace spans, and runInference
 // adds the KV-cache / weight footprint tail. This function is only

@@ -31,7 +31,7 @@ decodeStepTime(const TransformerConfig &cfg, const System &sys,
                         precisionBytes(opts.precision);
         CollectiveResult ar = systemCollective(
             sys, CollectiveKind::AllReduce, volume,
-            opts.tensorParallel, GroupScope::IntraNode,
+            opts.tensorParallel, groupScopeFor(sys, opts.tensorParallel),
             opts.collectiveAlgorithm);
         step += 2.0 * ar.time * double(cfg.numLayers);
     }

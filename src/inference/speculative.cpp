@@ -27,7 +27,7 @@ stepTime(const TransformerConfig &cfg, const System &sys,
                         precisionBytes(opts.precision);
         CollectiveResult ar = systemCollective(
             sys, CollectiveKind::AllReduce, volume, tp,
-            GroupScope::IntraNode);
+            groupScopeFor(sys, tp));
         t += 2.0 * ar.time * double(cfg.numLayers);
     }
     for (const Op &op : headOps(cfg, queries, tp, opts.precision))

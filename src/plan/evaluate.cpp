@@ -7,6 +7,12 @@
  * (roofline/gemm.cpp) is the engine's only memo. Every estimate is
  * recomputed from the op, so results are independent of evaluation
  * order and thread count.
+ *
+ * A decode range step is evaluated once and scaled by its token count,
+ * unless its op binds the attended span: then the op is rebound to
+ * each token's span and evaluateOp runs per token — the same estimates
+ * a per-(token, op) plan would produce, summed without the per-token
+ * step bookkeeping.
  */
 
 #include "plan/plan.h"
@@ -34,7 +40,149 @@ evaluatePart(const Device &dev, const ComputePart &part)
     return est;
 }
 
+/** Attended span of token @p t of a range step. */
+long long
+tokenSpan(const PlanStep &st, long long t)
+{
+    return std::min(st.contextStart + t, st.spanCap);
+}
+
+/** Add @p scale instances of @p est to the step's work sums. */
+void
+addWork(StepEval &ev, const KernelEstimate &est, double scale)
+{
+    ev.flops += est.flops * scale;
+    if (!est.bytesPerLevel.empty())
+        ev.dramBytes += est.bytesPerLevel[0] * scale;
+    ev.overhead += est.overhead * scale;
+    if (!est.memTimePerLevel.empty())
+        ev.memoryTime += est.memTimePerLevel[0] * scale;
+}
+
+/** A compute step evaluated once (range steps: same for every token). */
+void
+evaluateCompute(const Device &dev, const PlanStep &st, bool detail,
+                StepEval &ev)
+{
+    const double instances = double(st.instances());
+    double combined = 0.0;
+    size_t winner = 0;
+    for (size_t pi = 0; pi < st.parts.size(); ++pi) {
+        KernelEstimate est = evaluatePart(dev, st.parts[pi]);
+        double scaled = est.time * st.parts[pi].scale;
+        if (pi == 0) {
+            combined = scaled;
+        } else if (st.combine == PartCombine::Max) {
+            // Only the worst stage runs on the critical path.
+            if (scaled > combined) {
+                combined = scaled;
+                winner = pi;
+            }
+        } else {
+            combined += scaled;
+        }
+        ev.partEsts.push_back(std::move(est));
+    }
+    ev.perInstance = combined;
+    ev.total = ev.perInstance * instances;
+    for (size_t pi = 0; pi < st.parts.size(); ++pi)
+        if (st.combine == PartCombine::Sum || pi == winner)
+            addWork(ev, ev.partEsts[pi], st.parts[pi].scale * instances);
+    ev.boundLevel = ev.partEsts[0].boundLevel;
+    if (st.bucketByBound) {
+        // Bound-bucketed steps are single-op by construction.
+        BoundBucket b =
+            boundBucket(st.parts[0].ops[0], ev.boundLevel);
+        ev.category = bucketCategory(st.phase, b);
+        ev.bucketTime[size_t(b)] = ev.total;
+    }
+    if (detail && !st.detailLane.empty())
+        for (const Op &op : st.parts[0].ops)
+            ev.opEsts.push_back(evaluateOp(dev, op));
+}
+
+/**
+ * A range step whose op binds the attended span: rebind the span and
+ * evaluate token by token, summing per-instance quantities and scaling
+ * by the microbatch x layer repeats once at the end.
+ */
+void
+evaluateSpanRange(const Device &dev, const PlanStep &st, bool detail,
+                  StepEval &ev)
+{
+    const double repeats =
+        double(st.repeatMicrobatch) * double(st.repeatLayer);
+    Op op = st.parts[0].ops[0];
+    std::vector<double> levelTime(dev.mem.size() + 1, 0.0);
+    double time = 0.0;
+    if (detail)
+        ev.tokenEsts.reserve(size_t(st.tokens));
+    for (long long t = 0; t < st.tokens; ++t) {
+        bindSpan(op, tokenSpan(st, t));
+        KernelEstimate est = evaluateOp(dev, op);
+        time += est.time;
+        ev.bucketTime[size_t(boundBucket(op, est.boundLevel))] +=
+            est.time;
+        levelTime[size_t(est.boundLevel + 1)] += est.time;
+        addWork(ev, est, 1.0);
+        if (t == 0) {
+            ev.partEsts.push_back(est);
+            ev.partEsts[0].kernel = op.name;
+        }
+        if (detail)
+            ev.tokenEsts.push_back(std::move(est));
+    }
+    ev.total = time * repeats;
+    ev.perInstance = ev.total / double(st.instances());
+    for (double &b : ev.bucketTime)
+        b *= repeats;
+    ev.flops *= repeats;
+    ev.dramBytes *= repeats;
+    ev.overhead *= repeats;
+    ev.memoryTime *= repeats;
+    // The lowest level wins a tie, so the label is deterministic.
+    ev.boundLevel = int(std::max_element(levelTime.begin(),
+                                         levelTime.end()) -
+                        levelTime.begin()) -
+                    1;
+    ev.category =
+        bucketCategory(st.phase, boundBucket(op, ev.boundLevel));
+}
+
 } // namespace
+
+bool
+bindsSpan(const PlanStep &st)
+{
+    return st.tokens > 0 && st.kind == StepKind::Compute &&
+           st.parts.size() == 1 && st.parts[0].ops.size() == 1 &&
+           st.parts[0].ops[0].spanDim != SpanDim::None;
+}
+
+Op
+tokenOp(const PlanStep &st, long long t)
+{
+    Op op = st.parts[0].ops[0];
+    bindSpan(op, tokenSpan(st, t));
+    return op;
+}
+
+BoundBucket
+boundBucket(const Op &op, int bound_level)
+{
+    if (op.kind != OpKind::Gemm && op.kind != OpKind::FusedAttention)
+        return BoundBucket::Other;
+    return bound_level < 0 ? BoundBucket::GemmCompute
+                           : BoundBucket::GemmMemory;
+}
+
+std::string
+bucketCategory(const std::string &phase, BoundBucket b)
+{
+    static const char *const kNames[] = {"gemm-compute", "gemm-memory",
+                                         "other"};
+    return phase + "-" + kNames[size_t(b)];
+}
 
 EvaluatedPlan
 evaluatePlan(KernelPlan plan, const System &sys,
@@ -52,42 +200,14 @@ evaluatePlan(KernelPlan plan, const System &sys,
     for (const PlanStep &st : plan.steps) {
         StepEval ev;
         ev.category = st.category;
-        const double instances =
-            double(st.repeatLayer) * double(st.repeatMicrobatch);
 
         switch (st.kind) {
-          case StepKind::Compute: {
-            double combined = 0.0;
-            for (size_t pi = 0; pi < st.parts.size(); ++pi) {
-                KernelEstimate est =
-                    evaluatePart(ep.dev, st.parts[pi]);
-                double scaled = est.time * st.parts[pi].scale;
-                if (pi == 0)
-                    combined = scaled;
-                else if (st.combine == PartCombine::Max)
-                    combined = std::max(combined, scaled);
-                else
-                    combined += scaled;
-                ev.partEsts.push_back(std::move(est));
-            }
-            ev.perInstance = combined;
-            ev.total = ev.perInstance * instances;
-            if (st.bucketByBound) {
-                // Bound-bucketed steps are single-op by construction.
-                const Op &op = st.parts[0].ops[0];
-                const char *bucket = "other";
-                if (op.kind == OpKind::Gemm ||
-                    op.kind == OpKind::FusedAttention)
-                    bucket = ev.partEsts[0].computeBound()
-                                 ? "gemm-compute"
-                                 : "gemm-memory";
-                ev.category = st.phase + "-" + bucket;
-            }
-            if (opts.detail && !st.detailLane.empty())
-                for (const Op &op : st.parts[0].ops)
-                    ev.opEsts.push_back(evaluateOp(ep.dev, op));
+          case StepKind::Compute:
+            if (bindsSpan(st))
+                evaluateSpanRange(ep.dev, st, opts.detail, ev);
+            else
+                evaluateCompute(ep.dev, st, opts.detail, ev);
             break;
-          }
           case StepKind::Collective:
             ev.coll = systemCollective(sys, st.collective, st.volume,
                                        st.groupSize, st.scope,
@@ -95,7 +215,7 @@ evaluatePlan(KernelPlan plan, const System &sys,
             ev.perInstance =
                 (ev.coll.time * st.callsPerInstance) *
                 st.exposedFraction;
-            ev.total = ev.perInstance * instances;
+            ev.total = ev.perInstance * double(st.instances());
             break;
           case StepKind::Synthetic:
             if (st.synthetic == SyntheticKind::Bubble)

@@ -19,87 +19,127 @@ namespace plan {
 
 namespace {
 
-/** Instance span of a step (coordinates stamped by the caller). */
+/**
+ * Instance span of step @p i (coordinates stamped by the caller) at
+ * decode token @p token (-1 outside a range). A span-bound range step
+ * takes the token's own estimate and bucket: the stored detail
+ * estimate, or a fresh one when the plan was evaluated without detail.
+ */
 TraceSpan
-instanceSpan(const Device &dev, const PlanStep &st, const StepEval &ev)
+instanceSpan(const EvaluatedPlan &ep, size_t i, long long token)
 {
-    if (st.kernelDetail)
-        return kernelSpan(dev, st.name, ev.category, ev.partEsts[0]);
-    TraceSpan s;
-    s.name = st.name;
-    s.category = ev.category;
-    s.duration = ev.perInstance;
-    return s;
+    const PlanStep &st = ep.plan.steps[i];
+    const StepEval &ev = ep.evals[i];
+    if (!st.kernelDetail) {
+        TraceSpan s;
+        s.name = st.name;
+        s.category = ev.category;
+        s.duration = ev.perInstance;
+        return s;
+    }
+    if (token < 0 || !bindsSpan(st))
+        return kernelSpan(ep.dev, st.name, ev.category, ev.partEsts[0]);
+    auto span = [&](const KernelEstimate &est) {
+        BoundBucket b = boundBucket(st.parts[0].ops[0], est.boundLevel);
+        return kernelSpan(ep.dev, st.name, bucketCategory(st.phase, b),
+                          est);
+    };
+    if (ev.tokenEsts.empty())
+        return span(evaluateOp(ep.dev, tokenOp(st, token)));
+    return span(ev.tokenEsts[size_t(token)]);
 }
 
 /**
- * Walk the deterministic span stream of an evaluated plan: for every
- * step, first its per-op kernel-detail spans (detailLane), then its
+ * The spans of step @p i at decode token @p token (-1 outside a
+ * range): first its per-op kernel-detail spans (detailLane), then its
  * instance spans in microbatch-major, layer-inner order (or one
- * layer-aggregated span per microbatch). @p fn receives
- * (lane name, span).
+ * layer-aggregated span per microbatch).
+ */
+template <typename Fn>
+void
+stepSpans(const EvaluatedPlan &ep, size_t i, long long token, Fn &fn)
+{
+    const PlanStep &st = ep.plan.steps[i];
+    const StepEval &ev = ep.evals[i];
+
+    if (!st.detailLane.empty() && !ev.opEsts.empty()) {
+        const std::vector<Op> &ops = st.parts[0].ops;
+        for (size_t j = 0; j < ops.size(); ++j) {
+            TraceSpan s = kernelSpan(ep.dev, ops[j].name,
+                                     st.detailCategory, ev.opEsts[j]);
+            s.microbatch = 0;
+            s.layer = 0;
+            fn(st.detailLane, std::move(s));
+        }
+    }
+
+    if (st.kind == StepKind::Synthetic) {
+        // The bubble span is suppressed when the schedule has no
+        // bubble (pp == 1); the optimizer span always appears.
+        if (st.synthetic == SyntheticKind::Bubble && !(ev.total > 0.0))
+            return;
+        TraceSpan s;
+        s.name = st.name;
+        s.category = ev.category;
+        s.duration = ev.total;
+        fn(st.lane, std::move(s));
+        return;
+    }
+
+    for (long long mb = 0; mb < st.repeatMicrobatch; ++mb) {
+        if (st.aggregateLayers) {
+            TraceSpan s = instanceSpan(ep, i, token);
+            const double rl = double(st.repeatLayer);
+            s.duration *= rl;
+            if (s.isKernel()) {
+                s.flops *= rl;
+                for (double &b : s.bytesPerLevel)
+                    b *= rl;
+                s.overhead *= rl;
+            }
+            if (st.coordMicrobatch)
+                s.microbatch = mb;
+            s.step = token;
+            fn(st.lane, std::move(s));
+            continue;
+        }
+        for (long long l = 0; l < st.repeatLayer; ++l) {
+            TraceSpan s = instanceSpan(ep, i, token);
+            if (st.coordMicrobatch)
+                s.microbatch = mb;
+            if (st.coordLayer)
+                s.layer = l;
+            s.step = token;
+            fn(st.lane, std::move(s));
+        }
+    }
+}
+
+/**
+ * Walk the deterministic span stream of an evaluated plan, step by
+ * step. A run of consecutive range steps expands token-major (every
+ * step of token 0, then every step of token 1, ...), the order of a
+ * per-(token, op) plan. @p fn receives (lane name, span).
  */
 template <typename Fn>
 void
 forEachStepSpan(const EvaluatedPlan &ep, Fn &&fn)
 {
-    for (size_t i = 0; i < ep.plan.steps.size(); ++i) {
-        const PlanStep &st = ep.plan.steps[i];
-        const StepEval &ev = ep.evals[i];
-
-        if (!st.detailLane.empty() && !ev.opEsts.empty()) {
-            const std::vector<Op> &ops = st.parts[0].ops;
-            for (size_t j = 0; j < ops.size(); ++j) {
-                TraceSpan s = kernelSpan(ep.dev, ops[j].name,
-                                         st.detailCategory,
-                                         ev.opEsts[j]);
-                s.microbatch = 0;
-                s.layer = 0;
-                fn(st.detailLane, std::move(s));
-            }
-        }
-
-        if (st.kind == StepKind::Synthetic) {
-            // The bubble span is suppressed when the schedule has no
-            // bubble (pp == 1); the optimizer span always appears.
-            if (st.synthetic == SyntheticKind::Bubble &&
-                !(ev.total > 0.0))
-                continue;
-            TraceSpan s;
-            s.name = st.name;
-            s.category = ev.category;
-            s.duration = ev.total;
-            fn(st.lane, std::move(s));
+    const std::vector<PlanStep> &steps = ep.plan.steps;
+    for (size_t i = 0; i < steps.size();) {
+        const long long tokens = steps[i].tokens;
+        if (tokens == 0) {
+            stepSpans(ep, i, -1, fn);
+            ++i;
             continue;
         }
-
-        for (long long mb = 0; mb < st.repeatMicrobatch; ++mb) {
-            if (st.aggregateLayers) {
-                TraceSpan s = instanceSpan(ep.dev, st, ev);
-                const double rl = double(st.repeatLayer);
-                s.duration = ev.perInstance * rl;
-                if (s.isKernel()) {
-                    s.flops *= rl;
-                    for (double &b : s.bytesPerLevel)
-                        b *= rl;
-                    s.overhead *= rl;
-                }
-                if (st.coordMicrobatch)
-                    s.microbatch = mb;
-                s.step = st.step;
-                fn(st.lane, std::move(s));
-                continue;
-            }
-            for (long long l = 0; l < st.repeatLayer; ++l) {
-                TraceSpan s = instanceSpan(ep.dev, st, ev);
-                if (st.coordMicrobatch)
-                    s.microbatch = mb;
-                if (st.coordLayer)
-                    s.layer = l;
-                s.step = st.step;
-                fn(st.lane, std::move(s));
-            }
-        }
+        size_t end = i;
+        while (end < steps.size() && steps[end].tokens == tokens)
+            ++end;
+        for (long long t = 0; t < tokens; ++t)
+            for (size_t k = i; k < end; ++k)
+                stepSpans(ep, k, t, fn);
+        i = end;
     }
 }
 
@@ -174,23 +214,19 @@ foldInference(const EvaluatedPlan &ep, TraceSession *trace)
         PhaseReport &r =
             (st.phase == "decode") ? f.decode : f.prefill;
         if (st.kind == StepKind::Compute) {
-            const KernelEstimate &est = ev.partEsts[0];
-            const double inst =
-                double(st.repeatLayer) * double(st.repeatMicrobatch);
             r.time += ev.total;
-            r.overheadTime += est.overhead * inst;
-            if (!est.memTimePerLevel.empty())
-                r.memoryTime += est.memTimePerLevel[0] * inst;
+            r.overheadTime += ev.overhead;
+            r.memoryTime += ev.memoryTime;
             // Bound-type buckets include each kernel's launch
             // overhead, as in the paper's per-kernel accounting (a
             // 3 us per-head attention kernel counts as memory-bound
             // time even though its cost is launch-dominated).
-            if (ev.category.ends_with("gemm-compute"))
-                r.computeBoundGemmTime += ev.total;
-            else if (ev.category.ends_with("gemm-memory"))
-                r.memoryBoundGemmTime += ev.total;
-            else
-                r.otherKernelTime += ev.total;
+            r.computeBoundGemmTime +=
+                ev.bucketTime[size_t(BoundBucket::GemmCompute)];
+            r.memoryBoundGemmTime +=
+                ev.bucketTime[size_t(BoundBucket::GemmMemory)];
+            r.otherKernelTime +=
+                ev.bucketTime[size_t(BoundBucket::Other)];
         } else if (st.kind == StepKind::Collective) {
             r.commTime += ev.total;
             r.time += ev.total;

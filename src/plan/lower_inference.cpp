@@ -3,10 +3,13 @@
  * Lowering of an inference configuration onto the kernel-plan IR.
  *
  * Prefill lowers to one step per layer op (repeated over the L
- * layers), decode to one step per (token, op) with the L layers
- * aggregated into a single span — the historical decode-lane shape.
- * All TP/PP communication scopes go through groupScopeFor(), so a TP
- * group larger than a node correctly pays the inter-node link.
+ * layers). Decode lowers to one range step per op (PlanStep::tokens):
+ * the structure is lowered once and the context is bound per token,
+ * so the plan's size does not depend on generateLength. Each token's
+ * instance aggregates the L layers into a single span — the
+ * historical decode-lane shape. All TP/PP communication scopes go
+ * through groupScopeFor(), so a TP group larger than a node correctly
+ * pays the inter-node link.
  */
 
 #include "plan/plan.h"
@@ -106,46 +109,48 @@ lowerInference(const TransformerConfig &cfg, const System &sys,
         kp.steps.push_back(opStep(op, "prefill", "prefill"));
 
     // ---- Decode (auto-regressive generation) ------------------------
-    for (long long i = 0; i < opts.generateLength; ++i) {
-        long long context = opts.promptLength + i + 1;
-        for (const Op &op :
-             decodeLayerOps(cfg, opts.batch, context, tp,
-                            opts.precision, opts.kvPrecision)) {
-            PlanStep s = opStep(op, "decode", "decode");
-            s.repeatLayer = L;
-            s.aggregateLayers = true;
-            s.step = i;
-            kp.steps.push_back(std::move(s));
-        }
-
-        if (tp > 1) {
-            PlanStep s;
-            s.kind = StepKind::Collective;
-            s.lane = "decode/comm";
-            s.name = "tp-allreduce";
-            s.category = "decode-comm";
-            s.phase = "decode";
-            s.repeatLayer = L;
-            s.aggregateLayers = true;
-            s.step = i;
-            s.collective = CollectiveKind::AllReduce;
-            s.volume = double(opts.batch) * double(cfg.hiddenSize) *
-                       precisionBytes(opts.precision);
-            s.groupSize = tp;
-            s.scope = groupScopeFor(sys, tp);
-            s.algorithm = opts.collectiveAlgorithm;
-            s.callsPerInstance = 2.0;
-            kp.steps.push_back(std::move(s));
-        }
-
-        // Sampling head for this token.
-        for (const Op &op :
-             headOps(cfg, opts.batch, tp, opts.precision)) {
-            PlanStep s = opStep(op, "decode", "decode");
-            s.step = i;
-            kp.steps.push_back(std::move(s));
-        }
+    // One range step per op covers every generated token; token i
+    // attends over prompt + i + 1 cached positions. Only the attention
+    // ops (Op::spanDim) change from token to token, and the evaluator
+    // rebinds their span per token.
+    const long long G = opts.generateLength;
+    auto decodeRange = [&](PlanStep s) {
+        s.tokens = G;
+        s.contextStart = opts.promptLength + 1;
+        s.spanCap = cfg.attentionSpan(opts.promptLength + G);
+        kp.steps.push_back(std::move(s));
+    };
+    for (const Op &op :
+         decodeLayerOps(cfg, opts.batch, opts.promptLength + 1, tp,
+                        opts.precision, opts.kvPrecision)) {
+        PlanStep s = opStep(op, "decode", "decode");
+        s.repeatLayer = L;
+        s.aggregateLayers = true;
+        decodeRange(std::move(s));
     }
+
+    if (tp > 1) {
+        PlanStep s;
+        s.kind = StepKind::Collective;
+        s.lane = "decode/comm";
+        s.name = "tp-allreduce";
+        s.category = "decode-comm";
+        s.phase = "decode";
+        s.repeatLayer = L;
+        s.aggregateLayers = true;
+        s.collective = CollectiveKind::AllReduce;
+        s.volume = double(opts.batch) * double(cfg.hiddenSize) *
+                   precisionBytes(opts.precision);
+        s.groupSize = tp;
+        s.scope = groupScopeFor(sys, tp);
+        s.algorithm = opts.collectiveAlgorithm;
+        s.callsPerInstance = 2.0;
+        decodeRange(std::move(s));
+    }
+
+    // Sampling head, once per generated token.
+    for (const Op &op : headOps(cfg, opts.batch, tp, opts.precision))
+        decodeRange(opStep(op, "decode", "decode"));
 
     // Pipeline-parallel stages add one activation hop per boundary:
     // per prefill pass and per generated token. The hop uses the

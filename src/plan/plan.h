@@ -10,7 +10,9 @@
  * lists, collectives with an explicit GroupScope, and synthetic steps
  * for the pipeline bubble and the optimizer), each tagged with a
  * stable identity (lane/name), phase, repeat counts and breakdown
- * category. `evaluatePlan` maps every step through the existing
+ * category. Decode lowers to one *range step* per op covering every
+ * generated token, so a plan's size does not grow with the generation
+ * length. `evaluatePlan` maps every step through the existing
  * roofline and collective models, and the folders derive *all*
  * downstream artifacts from that one evaluated stream:
  *
@@ -31,6 +33,7 @@
 #ifndef OPTIMUS_PLAN_PLAN_H
 #define OPTIMUS_PLAN_PLAN_H
 
+#include <array>
 #include <string>
 #include <utility>
 #include <vector>
@@ -67,6 +70,13 @@ enum class PartCombine {
     Max,  ///< parts live on different pipeline stages; worst one counts
 };
 
+/** The inference PhaseReport buckets of a bound-bucketed step. */
+enum class BoundBucket {
+    GemmCompute,  ///< GEMM-like op bound by arithmetic throughput
+    GemmMemory,   ///< GEMM-like op bound by a memory level
+    Other,        ///< every other op (norms, softmax, elementwise)
+};
+
 /** One op list inside a compute step, with a time scale factor. */
 struct ComputePart
 {
@@ -101,13 +111,38 @@ struct PlanStep
     long long repeatLayer = 1;
     bool coordMicrobatch = false;  ///< stamp span.microbatch
     bool coordLayer = false;       ///< stamp span.layer
-    long long step = -1;           ///< decode token index (span.step)
     /**
      * Emit one span covering all repeatLayer instances (duration,
      * FLOPs and traffic scaled by repeatLayer) instead of one span per
      * layer — the decode-lane aggregation.
      */
     bool aggregateLayers = false;
+
+    // ---- Decode token range -----------------------------------------
+    /**
+     * Generated tokens this range step stands for (0: not a range
+     * step). Token t (span.step = t) runs at context contextStart + t
+     * with its own microbatch x layer instances. A single-op step whose
+     * op binds the attended span (Op::spanDim, see bindsSpan) is
+     * rebound per token; every other range step is the same for all
+     * tokens. Consecutive range steps expand token-major in the span
+     * stream: all of token 0, then all of token 1, ...
+     */
+    long long tokens = 0;
+    long long contextStart = 0;  ///< context length of token 0
+    /**
+     * Attended span of the last token: a sliding window caps every
+     * token's span (TransformerConfig::attentionSpan), so token t
+     * attends over min(contextStart + t, spanCap) positions.
+     */
+    long long spanCap = 0;
+
+    /** Instances: repeatMicrobatch x repeatLayer x tokens. */
+    long long instances() const
+    {
+        return repeatMicrobatch * repeatLayer *
+               (tokens > 0 ? tokens : 1);
+    }
 
     // ---- Kernel detail ----------------------------------------------
     /** Instance spans carry full kernel detail (single-op steps). */
@@ -156,9 +191,10 @@ struct KernelPlan
 struct EvaluateOptions
 {
     /**
-     * Also evaluate per-op kernel detail (detailLane spans). The
-     * folders force this on when a TraceSession is attached or when
-     * RunRecord kernel aggregates are wanted.
+     * Also evaluate per-op kernel detail (detailLane spans) and keep
+     * the per-token estimates of span-bound range steps. The folders
+     * force this on when a TraceSession is attached or when RunRecord
+     * kernel aggregates are wanted.
      */
     bool detail = false;
 };
@@ -166,12 +202,43 @@ struct EvaluateOptions
 /** Evaluation result of one step. */
 struct StepEval
 {
-    double perInstance = 0.0;  ///< seconds per (microbatch, layer)
-    double total = 0.0;        ///< perInstance * repeats (or synthetic)
-    std::string category;      ///< resolved (bucketByBound applied)
-    std::vector<KernelEstimate> partEsts;  ///< one per ComputePart
+    /**
+     * Seconds per instance (microbatch, layer, token); the mean over
+     * tokens for a range step that binds the attended span.
+     */
+    double perInstance = 0.0;
+    double total = 0.0;        ///< over all instances (or synthetic)
+    /**
+     * Resolved category (bucketByBound applied; the bucket of the
+     * time-dominant bound for a span-bound range step).
+     */
+    std::string category;
+    /**
+     * One per ComputePart; for a span-bound range step, the estimate
+     * of token 0 (the op as lowered).
+     */
+    std::vector<KernelEstimate> partEsts;
     std::vector<KernelEstimate> opEsts;    ///< per-op detail of parts[0]
     CollectiveResult coll;     ///< collective steps only
+
+    // ---- Compute work over all instances ----------------------------
+    // Under PartCombine::Max only the winning part's work is charged.
+    double flops = 0.0;
+    double dramBytes = 0.0;
+    double overhead = 0.0;     ///< launch overhead
+    double memoryTime = 0.0;   ///< DRAM-level transfer time
+    /**
+     * Bound level (KernelEstimate::boundLevel) of partEsts[0]; the
+     * time-dominant one over the tokens of a span-bound range step.
+     */
+    int boundLevel = -1;
+    /**
+     * Bound-bucketed steps: seconds per BoundBucket. A span-bound
+     * range step can split across buckets as the context grows.
+     */
+    std::array<double, 3> bucketTime{};
+    /** Detail evaluations: per-token estimates of a span-bound step. */
+    std::vector<KernelEstimate> tokenEsts;
 };
 
 /** A plan with every step evaluated on one system. */
@@ -198,6 +265,25 @@ KernelPlan lowerInference(const TransformerConfig &cfg, const System &sys,
 /** Map every step through the roofline / collective models. */
 EvaluatedPlan evaluatePlan(KernelPlan plan, const System &sys,
                            const EvaluateOptions &opts = {});
+
+/** True for a range step whose op binds the attended span. */
+bool bindsSpan(const PlanStep &st);
+
+/**
+ * The op of range step @p st at token @p t: parts[0].ops[0] with its
+ * span-bound dimension set to the token's attended span. The evaluator
+ * sums evaluateOp over these for a span-bound step.
+ */
+Op tokenOp(const PlanStep &st, long long t);
+
+/**
+ * Bucket of @p op bound at @p bound_level (KernelEstimate::boundLevel)
+ * in a bound-bucketed step.
+ */
+BoundBucket boundBucket(const Op &op, int bound_level);
+
+/** Category of a bound-bucketed step: "<phase>-<bucket>". */
+std::string bucketCategory(const std::string &phase, BoundBucket b);
 
 // ---- Fold ------------------------------------------------------------
 
@@ -287,13 +373,16 @@ struct StepSummary
     std::string name;
     std::string category;
     std::string kind;    ///< "compute" | "collective" | "synthetic"
-    long long count = 1; ///< repeatMicrobatch * repeatLayer
+    long long count = 1; ///< PlanStep::instances()
     double perInstance = 0.0;
     double total = 0.0;
     double flops = 0.0;      ///< across all instances
     double dramBytes = 0.0;  ///< across all instances
     double overhead = 0.0;   ///< across all instances
-    /** Bound class (compute), scope (collective), or empty. */
+    /**
+     * Time-dominant bound class (compute), scope (collective), or
+     * empty.
+     */
     std::string detail;
 };
 

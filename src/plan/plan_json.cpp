@@ -64,41 +64,17 @@ summarizePlan(const EvaluatedPlan &ep)
         r.lane = st.lane;
         r.name = st.name;
         r.category = ev.category;
-        r.count = st.repeatMicrobatch * st.repeatLayer;
+        r.count = st.instances();
         r.perInstance = ev.perInstance;
         r.total = ev.total;
         switch (st.kind) {
-          case StepKind::Compute: {
+          case StepKind::Compute:
             r.kind = "compute";
-            const double inst =
-                double(st.repeatLayer) * double(st.repeatMicrobatch);
-            // Under Max only the winning part runs on the critical
-            // stage, so only its work is charged.
-            size_t winner = 0;
-            if (st.combine == PartCombine::Max) {
-                double best = -1.0;
-                for (size_t pi = 0; pi < st.parts.size(); ++pi) {
-                    double scaled = ev.partEsts[pi].time *
-                                    st.parts[pi].scale;
-                    if (scaled > best) {
-                        best = scaled;
-                        winner = pi;
-                    }
-                }
-            }
-            for (size_t pi = 0; pi < st.parts.size(); ++pi) {
-                if (st.combine == PartCombine::Max && pi != winner)
-                    continue;
-                const KernelEstimate &est = ev.partEsts[pi];
-                const double s = st.parts[pi].scale * inst;
-                r.flops += est.flops * s;
-                if (!est.bytesPerLevel.empty())
-                    r.dramBytes += est.bytesPerLevel[0] * s;
-                r.overhead += est.overhead * s;
-            }
-            r.detail = ev.partEsts[0].boundName(ep.dev);
+            r.flops = ev.flops;
+            r.dramBytes = ev.dramBytes;
+            r.overhead = ev.overhead;
+            r.detail = boundLevelName(ep.dev, ev.boundLevel);
             break;
-          }
           case StepKind::Collective:
             r.kind = "collective";
             r.detail = scopeName(st.scope);

@@ -331,13 +331,18 @@ decodeLayerOps(const TransformerConfig &cfg, long long batch,
     // shared K^T[hd, ctx] per KV head (the cache streams once per
     // group, the GQA bandwidth saving).
     const long long group = heads_local / kv_local;
-    ops.push_back(gemmOp("qk^T", group, span, hd, kv_precision,
-                         batch * kv_local));
-    ops.push_back(softmaxOp("attn-softmax",
-                            double(batch) * heads_local,
-                            double(span)));
-    ops.push_back(gemmOp("attn-v", group, hd, span, kv_precision,
-                         batch * kv_local));
+    Op qkt = gemmOp("qk^T", group, span, hd, kv_precision,
+                    batch * kv_local);
+    qkt.spanDim = SpanDim::GemmN;
+    ops.push_back(qkt);
+    Op softmax = softmaxOp("attn-softmax", double(batch) * heads_local,
+                           double(span));
+    softmax.spanDim = SpanDim::Cols;
+    ops.push_back(softmax);
+    Op av = gemmOp("attn-v", group, hd, span, kv_precision,
+                   batch * kv_local);
+    av.spanDim = SpanDim::GemmK;
+    ops.push_back(av);
 
     ops.push_back(gemmOp("attn-out", batch, h, heads_local * hd,
                          precision));
@@ -352,6 +357,24 @@ decodeLayerOps(const TransformerConfig &cfg, long long batch,
                                 true));
 
     return ops;
+}
+
+void
+bindSpan(Op &op, long long span)
+{
+    switch (op.spanDim) {
+      case SpanDim::None:
+        break;
+      case SpanDim::GemmN:
+        op.gemm.n = span;
+        break;
+      case SpanDim::GemmK:
+        op.gemm.k = span;
+        break;
+      case SpanDim::Cols:
+        op.cols = double(span);
+        break;
+    }
 }
 
 std::vector<Op>

@@ -33,6 +33,18 @@ enum class OpKind {
     Stream,          ///< raw byte/FLOP stream (embedding lookups, ...)
 };
 
+/**
+ * The dimension of a decode op that scales with the attended span
+ * (TransformerConfig::attentionSpan of the context): the only part of
+ * a decode layer that changes from one generated token to the next.
+ */
+enum class SpanDim {
+    None,   ///< independent of the context
+    GemmN,  ///< gemm.n (qk^T: scores over the cached keys)
+    GemmK,  ///< gemm.k (attn-v: reduction over the cached values)
+    Cols,   ///< cols (attn-softmax: one row over the span)
+};
+
 /** One operator of a layer graph, sized for a single device shard. */
 struct Op
 {
@@ -71,6 +83,9 @@ struct Op
     Precision streamPrecision = Precision::FP16;
 
     bool fused = false;   ///< fused into neighbour: no launch overhead
+
+    /** Dimension bound to the attended span (decode attention ops). */
+    SpanDim spanDim = SpanDim::None;
 };
 
 /** Parameters shared by the layer-graph builders. */
@@ -118,6 +133,8 @@ std::vector<Op> layerBackwardOps(const TransformerConfig &cfg,
  * sequence, attending over @p context cached tokens (KV cache,
  * Sec. 3.5). @p kv_precision sets the storage format of the cache
  * (KV-cache quantization serves fp16 models with fp8/int8 caches).
+ * The attention ops are tagged with the SpanDim that carries the
+ * attended span, so bindSpan() re-targets them to another context.
  */
 std::vector<Op> decodeLayerOps(const TransformerConfig &cfg,
                                long long batch, long long context,
@@ -128,6 +145,14 @@ std::vector<Op> decodeLayerOps(const TransformerConfig &cfg,
                                long long tensor_parallel,
                                Precision precision,
                                Precision kv_precision);
+
+/**
+ * Set the span-bound dimension of @p op (Op::spanDim) to @p span;
+ * a no-op for context-independent ops. bindSpan(op,
+ * cfg.attentionSpan(c)) on an op of decodeLayerOps(cfg, ..., c0, ...)
+ * yields the same op as decodeLayerOps(cfg, ..., c, ...).
+ */
+void bindSpan(Op &op, long long span);
 
 /** LM head (logits GEMM + softmax) ops for @p tokens positions. */
 std::vector<Op> headOps(const TransformerConfig &cfg, long long tokens,

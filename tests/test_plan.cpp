@@ -2,10 +2,11 @@
  * @file
  * Tests for the kernel-plan IR (src/plan): the plan fold reproduces
  * the evaluator reports, step identities are deterministic across
- * thread counts (with a shared estimate cache), the JSON dump round
- * trips, and the communication group-scope convention is honored at
- * its boundary (including the inference per-layer TP all-reduce,
- * which used to be pinned intra-node).
+ * thread counts (with a shared estimate cache), decode range steps
+ * match a per-token reference and expand token-major in the trace,
+ * the JSON dump round trips, and the communication group-scope
+ * convention is honored at its boundary (including the inference
+ * per-layer TP all-reduce, which used to be pinned intra-node).
  */
 
 #include <gtest/gtest.h>
@@ -16,9 +17,11 @@
 
 #include "comm/collective.h"
 #include "exec/exec.h"
+#include "hw/precision.h"
 #include "hw/presets.h"
 #include "plan/plan.h"
 #include "roofline/gemm.h"
+#include "trace/trace.h"
 #include "workload/presets.h"
 
 namespace optimus {
@@ -151,10 +154,24 @@ TEST(Plan, StepIdentitiesDeterministicAcrossThreads)
     }
 }
 
+void
+expectSameEstimate(const KernelEstimate &want, const KernelEstimate &got)
+{
+    EXPECT_EQ(want.flops, got.flops);
+    EXPECT_EQ(want.bytesPerLevel, got.bytesPerLevel);
+    EXPECT_EQ(want.computeTime, got.computeTime);
+    EXPECT_EQ(want.memTimePerLevel, got.memTimePerLevel);
+    EXPECT_EQ(want.overhead, got.overhead);
+    EXPECT_EQ(want.time, got.time);
+    EXPECT_EQ(want.boundLevel, got.boundLevel);
+}
+
 TEST(Plan, SingleOpPartsMatchEvaluateOpBitForBit)
 {
     // A single-op part goes straight through evaluateOp, so its
-    // estimate is exactly the per-kernel detail estimate of that op.
+    // estimate is exactly the per-kernel detail estimate of that op;
+    // the per-token detail estimates of a span-bound range step are
+    // exactly evaluateOp on the op lowered at that token's context.
     TransformerConfig model = models::llama2_13b();
     System sys = presets::dgxA100(1);
     InferenceOptions opts = table2Options();
@@ -174,20 +191,182 @@ TEST(Plan, SingleOpPartsMatchEvaluateOpBitForBit)
             if (st.parts[pi].ops.size() != 1)
                 continue;
             const Op &op = st.parts[pi].ops[0];
-            KernelEstimate want = evaluateOp(ep.dev, op);
             const KernelEstimate &got = ep.evals[i].partEsts[pi];
             EXPECT_EQ(op.name, got.kernel);
-            EXPECT_EQ(want.flops, got.flops);
-            EXPECT_EQ(want.bytesPerLevel, got.bytesPerLevel);
-            EXPECT_EQ(want.computeTime, got.computeTime);
-            EXPECT_EQ(want.memTimePerLevel, got.memTimePerLevel);
-            EXPECT_EQ(want.overhead, got.overhead);
-            EXPECT_EQ(want.time, got.time);
-            EXPECT_EQ(want.boundLevel, got.boundLevel);
+            expectSameEstimate(evaluateOp(ep.dev, op), got);
+            ++checked;
+        }
+        if (!plan::bindsSpan(st))
+            continue;
+        const std::vector<KernelEstimate> &tok = ep.evals[i].tokenEsts;
+        ASSERT_EQ(size_t(st.tokens), tok.size()) << st.name;
+        for (long long t = 0; t < st.tokens; ++t) {
+            for (const Op &op : decodeLayerOps(
+                     model, opts.batch, opts.promptLength + t + 1,
+                     opts.tensorParallel, opts.precision,
+                     opts.kvPrecision))
+                if (op.name == st.name)
+                    expectSameEstimate(evaluateOp(ep.dev, op),
+                                       tok[size_t(t)]);
             ++checked;
         }
     }
-    EXPECT_GT(checked, size_t(opts.generateLength));
+    EXPECT_GT(checked, size_t(3 * opts.generateLength));
+}
+
+TEST(Plan, DecodePlanSizeIndependentOfGenerateLength)
+{
+    // Decode lowers to one range step per op: the plan is the same
+    // size for a short and a 32k-token generation.
+    TransformerConfig model = models::llama2_13b();
+    System sys = presets::dgxA100(1);
+    InferenceOptions opts = table2Options();
+    opts.generateLength = 64;
+    plan::KernelPlan shorter = plan::lowerInference(model, sys, opts);
+    opts.generateLength = 32768;
+    plan::KernelPlan longer = plan::lowerInference(model, sys, opts);
+
+    ASSERT_EQ(shorter.steps.size(), longer.steps.size());
+    for (size_t i = 0; i < shorter.steps.size(); ++i) {
+        EXPECT_EQ(shorter.steps[i].lane, longer.steps[i].lane);
+        EXPECT_EQ(shorter.steps[i].name, longer.steps[i].name);
+        if (longer.steps[i].phase == "decode") {
+            EXPECT_EQ(32768, longer.steps[i].tokens);
+        }
+    }
+}
+
+/** Decode PhaseReport summed token by token, without the plan. */
+PhaseReport
+perTokenDecode(const TransformerConfig &cfg, const System &sys,
+               const InferenceOptions &opts)
+{
+    const double L = double(cfg.numLayers);
+    const long long tp = opts.tensorParallel;
+    PhaseReport r;
+    auto add = [&](const Op &op, double repeats) {
+        KernelEstimate est = evaluateOp(sys.device, op);
+        const double t = est.time * repeats;
+        r.time += t;
+        r.overheadTime += est.overhead * repeats;
+        r.memoryTime += est.memTimePerLevel[0] * repeats;
+        if (op.kind != OpKind::Gemm)
+            r.otherKernelTime += t;
+        else if (est.computeBound())
+            r.computeBoundGemmTime += t;
+        else
+            r.memoryBoundGemmTime += t;
+    };
+    for (long long i = 0; i < opts.generateLength; ++i) {
+        for (const Op &op :
+             decodeLayerOps(cfg, opts.batch, opts.promptLength + i + 1,
+                            tp, opts.precision, opts.kvPrecision))
+            add(op, L);
+        if (tp > 1) {
+            double comm =
+                2.0 * L *
+                systemCollective(sys, CollectiveKind::AllReduce,
+                                 double(opts.batch) * cfg.hiddenSize *
+                                     precisionBytes(opts.precision),
+                                 tp, groupScopeFor(sys, tp))
+                    .time;
+            r.commTime += comm;
+            r.time += comm;
+        }
+        for (const Op &op : headOps(cfg, opts.batch, tp, opts.precision))
+            add(op, 1.0);
+    }
+    return r;
+}
+
+TEST(Plan, DecodeRangeMatchesPerTokenReference)
+{
+    // The range step's sums equal the per-(token, op) sum up to
+    // floating-point reassociation: full attention (MHA), grouped-query
+    // attention, and a sliding window the generation runs past.
+    TransformerConfig windowed = models::mixtral8x7b();
+    windowed.slidingWindow = 256;
+    struct Case
+    {
+        TransformerConfig cfg;
+        long long tp;
+    };
+    const std::vector<Case> cases = {{models::llama2_13b(), 2},
+                                     {models::llama2_70b(), 8},
+                                     {windowed, 4}};
+    System sys = presets::dgxA100(1);
+    for (const Case &c : cases) {
+        SCOPED_TRACE(c.cfg.name);
+        InferenceOptions opts;
+        opts.tensorParallel = c.tp;
+        opts.batch = 4;
+        opts.promptLength = 200;
+        opts.generateLength = 150;
+        PhaseReport want = perTokenDecode(c.cfg, sys, opts);
+        PhaseReport got = evaluateInference(c.cfg, sys, opts).decode;
+        auto near = [](double a, double b) {
+            EXPECT_NEAR(a, b, 1e-12 * std::abs(a));
+        };
+        EXPECT_GT(want.commTime, 0.0);
+        near(want.time, got.time);
+        near(want.commTime, got.commTime);
+        near(want.overheadTime, got.overheadTime);
+        near(want.memoryTime, got.memoryTime);
+        near(want.computeBoundGemmTime, got.computeBoundGemmTime);
+        near(want.memoryBoundGemmTime, got.memoryBoundGemmTime);
+        near(want.otherKernelTime, got.otherKernelTime);
+    }
+}
+
+TEST(Plan, DecodeSpansExpandTokenMajor)
+{
+    // With a live trace the range steps expand token by token: every
+    // decode-lane span of token t (ops, all-reduce, head) before any
+    // of token t + 1, as a per-(token, op) plan emitted them.
+    TransformerConfig model = models::llama2_13b();
+    System sys = presets::dgxA100(1);
+    InferenceOptions opts = table2Options();
+    opts.generateLength = 6;
+    TraceSession session;
+    opts.trace = &session;
+    evaluateInference(model, sys, opts);
+
+    std::vector<std::string> per_token;
+    for (const Op &op : decodeLayerOps(model, opts.batch, 2,
+                                       opts.tensorParallel,
+                                       opts.precision))
+        per_token.push_back(op.name);
+    per_token.push_back("tp-allreduce");
+    for (const Op &op : headOps(model, opts.batch, opts.tensorParallel,
+                                opts.precision))
+        per_token.push_back(op.name);
+
+    size_t n = 0;
+    for (const TraceSpan &s : session.spans()) {
+        const std::string &lane = session.lanes()[size_t(s.lane)].name;
+        if (lane != "decode" && lane != "decode/comm")
+            continue;
+        EXPECT_EQ(per_token[n % per_token.size()], s.name) << n;
+        EXPECT_EQ(static_cast<long long>(n / per_token.size()), s.step)
+            << n;
+        ++n;
+    }
+    EXPECT_EQ(per_token.size() * size_t(opts.generateLength), n);
+
+    // Without a detail evaluation the walker evaluates the per-token
+    // estimates itself: the kernel rows come out the same.
+    opts.trace = nullptr;
+    std::vector<plan::KernelAggregate> stored = plan::kernelAggregates(
+        plan::runInference(model, sys, opts, /*detail=*/true).plan);
+    std::vector<plan::KernelAggregate> fresh = plan::kernelAggregates(
+        plan::runInference(model, sys, opts).plan);
+    ASSERT_EQ(stored.size(), fresh.size());
+    for (size_t i = 0; i < stored.size(); ++i) {
+        EXPECT_EQ(stored[i].key, fresh[i].key);
+        EXPECT_EQ(stored[i].count, fresh[i].count);
+        EXPECT_EQ(stored[i].time, fresh[i].time);
+        EXPECT_EQ(stored[i].bound, fresh[i].bound);
+    }
 }
 
 TEST(Plan, JsonDumpRoundTrips)

@@ -5,8 +5,12 @@
 
 #include <gtest/gtest.h>
 
+#include "comm/collective.h"
+#include "hw/precision.h"
 #include "hw/presets.h"
+#include "inference/engine.h"
 #include "inference/serving.h"
+#include "planner/planner.h"
 #include "util/error.h"
 #include "util/units.h"
 #include "workload/presets.h"
@@ -107,6 +111,68 @@ TEST(Serving, CostPerTokenDecreasesWithBatch)
     // double/triple digits unbatched.
     EXPECT_GT(c1, 1.0);
     EXPECT_LT(c32, 5.0);
+}
+
+/** The engine's decode of one token at @p context (batch @p batch). */
+InferenceReport
+engineOneToken(const TransformerConfig &cfg, const System &sys,
+               const ServingOptions &opts, long long batch,
+               long long context)
+{
+    InferenceOptions io;
+    io.precision = opts.precision;
+    io.kvPrecision = opts.kvPrecision;
+    io.tensorParallel = opts.tensorParallel;
+    io.collectiveAlgorithm = opts.collectiveAlgorithm;
+    io.batch = batch;
+    io.promptLength = context - 1;
+    io.generateLength = 1;
+    return evaluateInference(cfg, sys, io);
+}
+
+TEST(Serving, DecodeStepIsTheEngineDecodeStep)
+{
+    // At tp8 on one node the serving decode step is the engine's
+    // per-token decode at the mean context.
+    System sys = presets::dgxH100(1);
+    TransformerConfig cfg = models::llama2_70b();
+    ServingOptions opts = chatOptions(8);
+    ServingPoint pt = evaluateServingPoint(cfg, sys, opts, 8);
+    const long long mean_context =
+        opts.promptLength + opts.generateLength / 2;
+    double engine =
+        engineOneToken(cfg, sys, opts, 8, mean_context).decode.time;
+    EXPECT_NEAR(engine, pt.decodeStepTime, 1e-12 * engine);
+    EXPECT_NEAR(17.1473e-3, pt.decodeStepTime, 1e-7);
+}
+
+TEST(Serving, Tp16AcrossTwoNodesPaysInterNodeAllReduce)
+{
+    // Regression: the serving decode step pinned its TP all-reduce
+    // intra-node, so tp16 over two 8-GPU nodes threw "intra-node group
+    // larger than a node" while the engine evaluated it.
+    System sys = presets::dgxH100(2);
+    TransformerConfig cfg = models::llama2_70b();
+    ServingPlannerOptions po;
+    po.serving = chatOptions(16);
+    po.tensorParallelChoices = {16};
+    std::vector<ServingPlan> plans = planServing(cfg, sys, po);
+    ASSERT_FALSE(plans.empty());
+    EXPECT_EQ(16, plans.front().tensorParallel);
+    const ServingPoint &pt = plans.front().point;
+
+    InferenceReport engine = engineOneToken(
+        cfg, sys, po.serving, pt.batch,
+        po.serving.promptLength + po.serving.generateLength / 2);
+    EXPECT_NEAR(engine.decode.time, pt.decodeStepTime,
+                1e-12 * engine.decode.time);
+    CollectiveResult inter = systemCollective(
+        sys, CollectiveKind::AllReduce,
+        double(pt.batch) * cfg.hiddenSize *
+            precisionBytes(po.serving.precision),
+        16, GroupScope::InterNode);
+    EXPECT_NEAR(2.0 * double(cfg.numLayers) * inter.time,
+                engine.decode.commTime, 1e-12 * inter.time);
 }
 
 TEST(Serving, RejectsBadInputs)

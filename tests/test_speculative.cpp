@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include "hw/presets.h"
+#include "inference/engine.h"
 #include "inference/speculative.h"
 #include "util/error.h"
 #include "workload/presets.h"
@@ -59,6 +60,32 @@ TEST(Speculative, VerifyCostsLittleMoreThanOneStep)
         models::llama2_70b(), models::llama2_7b(), sys, defaults());
     double baseline_step = 1.0 / rep.baselineTokensPerSecond;
     EXPECT_LT(rep.verifyTime, baseline_step * 1.5);
+}
+
+TEST(Speculative, Tp16AcrossTwoNodesPaysInterNodeAllReduce)
+{
+    // Regression: the decode step pinned its TP all-reduce intra-node,
+    // so tp16 over two 8-GPU nodes threw. The plain decode step it
+    // compares against must be the engine's one-token decode, which
+    // charges the inter-node all-reduce.
+    System sys = presets::dgxH100(2);
+    SpeculativeOptions opts = defaults();
+    opts.tensorParallel = 16;
+    SpeculativeReport rep = evaluateSpeculative(
+        models::llama2_70b(), models::llama2_7b(), sys, opts);
+
+    InferenceOptions io;
+    io.precision = opts.precision;
+    io.kvPrecision = opts.precision;
+    io.tensorParallel = 16;
+    io.promptLength = opts.context - 1;
+    io.generateLength = 1;
+    InferenceReport one =
+        evaluateInference(models::llama2_70b(), sys, io);
+    EXPECT_GT(one.decode.commTime, 0.0);
+    EXPECT_NEAR(one.decode.time, 1.0 / rep.baselineTokensPerSecond,
+                1e-12 * one.decode.time);
+    EXPECT_GT(rep.verifyTime, one.decode.commTime);
 }
 
 TEST(Speculative, LowAcceptanceKillsTheGain)
