@@ -5,6 +5,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cfloat>
+#include <limits>
+#include <string>
+
 #include "util/error.h"
 #include "util/json.h"
 
@@ -114,6 +118,86 @@ TEST(Json, EscapesOnOutput)
 {
     JsonValue j = JsonValue::string("a\"b\\c\nd");
     EXPECT_EQ(j.dump(), R"("a\"b\\c\nd")");
+}
+
+/** Exact dump() text of a single number. */
+std::string
+dumped(double v)
+{
+    return JsonValue::number(v).dump();
+}
+
+TEST(Json, NumberTextIsPinned)
+{
+    // Shortest of %.12g/15/16/17 that parses back to the same double.
+    EXPECT_EQ(dumped(0.1), "0.1");
+    EXPECT_EQ(dumped(1.0 / 3), "0.3333333333333333");
+    EXPECT_EQ(dumped(1e-05), "1e-05");
+    EXPECT_EQ(dumped(-2.5e-7), "-2.5e-07");
+    EXPECT_EQ(dumped(123456.5), "123456.5");
+    EXPECT_EQ(dumped(1234.5678), "1234.5678");
+    EXPECT_EQ(dumped(3e100), "3e+100");
+    EXPECT_EQ(dumped(5e-324), "4.94065645841e-324");
+    EXPECT_EQ(dumped(DBL_MAX), "1.7976931348623157e+308");
+    EXPECT_EQ(dumped(std::numeric_limits<double>::infinity()), "inf");
+    EXPECT_EQ(dumped(-std::numeric_limits<double>::infinity()), "-inf");
+    // 15, 16 and 17 significant digits.
+    EXPECT_EQ(dumped(0.123456789012345), "0.123456789012345");
+    EXPECT_EQ(dumped(100.0 / 7), "14.285714285714286");
+    EXPECT_EQ(dumped(0.1 + 0.2), "0.30000000000000004");
+}
+
+TEST(Json, IntegerTextIsPinned)
+{
+    EXPECT_EQ(dumped(0.0), "0");
+    EXPECT_EQ(dumped(-0.0), "0");
+    EXPECT_EQ(dumped(-42.0), "-42");
+    // Both sides of the integer fast path (|v| < 1e15).
+    EXPECT_EQ(dumped(999999999999999.0), "999999999999999");
+    EXPECT_EQ(dumped(-999999999999999.0), "-999999999999999");
+    EXPECT_EQ(dumped(1e15), "1e+15");
+    EXPECT_EQ(dumped(1e21), "1e+21");
+    EXPECT_EQ(dumped(3435973836800.0), "3435973836800");
+}
+
+TEST(Json, StringTextIsPinned)
+{
+    // Quote, backslash, newline, tab, CR and other control bytes are
+    // escaped; DEL and UTF-8 bytes pass through untouched.
+    JsonValue j = JsonValue::string(
+        "q\"b\\s\nn\tt\x01u\x1f\r\b\x7f\xc3\xa9\xe2\x86\x92 end");
+    EXPECT_EQ(j.dump(), "\"q\\\"b\\\\s\\nn\\tt\\u0001u\\u001f\\r\\u0008"
+                        "\x7f\xc3\xa9\xe2\x86\x92 end\"");
+    EXPECT_EQ(JsonValue::string("").dump(), "\"\"");
+    EXPECT_EQ(JsonValue::string("plain").dump(), "\"plain\"");
+    // Keys are escaped the same way.
+    JsonValue obj = JsonValue::object();
+    obj.set("k\"\n", JsonValue::string("\t"));
+    EXPECT_EQ(obj.dump(), R"({"k\"\n":"\t"})");
+}
+
+TEST(Json, DocumentTextIsPinned)
+{
+    JsonValue doc = JsonValue::object();
+    doc.set("n", JsonValue::number(0.1 + 0.2));
+    doc.set("a", JsonValue::array()
+                     .push(JsonValue::number(1))
+                     .push(JsonValue::boolean(false))
+                     .push(JsonValue())
+                     .push(JsonValue::object()));
+    doc.set("e", JsonValue::array());
+    EXPECT_EQ(doc.dump(),
+              R"({"n":0.30000000000000004,"a":[1,false,null,{}],"e":[]})");
+    EXPECT_EQ(doc.dump(2), "{\n"
+                           "  \"n\": 0.30000000000000004,\n"
+                           "  \"a\": [\n"
+                           "    1,\n"
+                           "    false,\n"
+                           "    null,\n"
+                           "    {}\n"
+                           "  ],\n"
+                           "  \"e\": []\n"
+                           "}");
 }
 
 } // namespace

@@ -371,6 +371,75 @@ TEST(Trace, KernelCsvEscapesRfc4180)
     EXPECT_NE(csv.find("lane,name,category"), std::string::npos);
 }
 
+/**
+ * A fixed session covering every exporter branch: two lanes, a plain
+ * span, a kernel span (coordinates, FLOPs, bytes, overhead, bound)
+ * whose name needs escaping in both JSON and CSV, and one counter
+ * sample.
+ */
+TraceSession
+goldenSession()
+{
+    TraceSession session;
+    int fwd = session.lane("stage0/fwd");
+    session.lane("stage0/bwd");
+
+    TraceSpan plain;
+    plain.name = "layer-fwd";
+    plain.category = "forward";
+    plain.duration = 1.2345678e-3;
+    plain.microbatch = 0;
+    plain.layer = 3;
+    session.emit(fwd, plain);
+
+    TraceSpan kernel;
+    kernel.name = "attn \"qk^T\", fp16";
+    kernel.category = "kernel";
+    kernel.duration = 2.5e-4 / 3;
+    kernel.microbatch = 0;
+    kernel.layer = 3;
+    kernel.step = 12;
+    kernel.flops = 3.4359738368e12;
+    kernel.bytesPerLevel = {1.2345678e9 / 7, 5e8};
+    kernel.overhead = 4.5e-6;
+    kernel.bound = "DRAM";
+    session.emit(fwd, kernel);
+
+    session.counterSet("dse/best_objective", 0.1 + 0.2);
+    return session;
+}
+
+TEST(Trace, ExportTextIsPinned)
+{
+    TraceSession session = goldenSession();
+    EXPECT_EQ(
+        chromeTraceJson(session).dump(),
+        R"({"traceEvents":[)"
+        R"({"ph":"M","name":"process_name","pid":0,)"
+        R"("args":{"name":"optimus model timeline"}},)"
+        R"({"ph":"M","name":"process_name","pid":1,)"
+        R"("args":{"name":"optimus counters"}},)"
+        R"({"ph":"M","name":"thread_name","pid":0,"tid":0,)"
+        R"("args":{"name":"stage0/fwd"}},)"
+        R"({"ph":"M","name":"thread_name","pid":0,"tid":1,)"
+        R"("args":{"name":"stage0/bwd"}},)"
+        R"({"ph":"X","name":"layer-fwd","cat":"forward","pid":0,"tid":0,)"
+        R"("ts":0,"dur":1234.5678,"args":{"microbatch":0,"layer":3}},)"
+        R"({"ph":"X","name":"attn \"qk^T\", fp16","cat":"kernel",)"
+        R"("pid":0,"tid":0,"ts":1234.5678,"dur":83.33333333333333,)"
+        R"("args":{"microbatch":0,"layer":3,"step":12,)"
+        R"("flops":3435973836800,"dram_bytes":176366828.57142857,)"
+        R"("launch_overhead_s":4.5e-06,"bound":"DRAM"}},)"
+        R"({"ph":"C","name":"dse/best_objective","pid":1,"ts":0,)"
+        R"("args":{"value":0.30000000000000004}}],)"
+        R"("displayTimeUnit":"ms"})");
+    EXPECT_EQ(kernelCsv(session),
+              "lane,name,category,start_us,duration_us,microbatch,"
+              "layer,step,flops,dram_bytes,launch_overhead_us,bound\n"
+              "stage0/fwd,\"attn \"\"qk^T\"\", fp16\",kernel,1234.5678,"
+              "83.3333,0,3,12,3435973836800,176366829,4.500,DRAM\n");
+}
+
 TEST(Trace, ChromeJsonNamesProcessesAndThreads)
 {
     TraceSession session = tracedTraining();

@@ -5,6 +5,7 @@
 
 #include <cmath>
 #include <sstream>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -135,6 +136,35 @@ TEST(Table, CsvQuotesCommas)
     std::ostringstream os;
     t.printCsv(os);
     EXPECT_EQ(os.str(), "name,v\n\"a,b\",\"say \"\"hi\"\"\"\n");
+}
+
+/** Text of one fixed-precision Table cell. */
+std::string
+fixedCell(double v, int precision)
+{
+    Table t({"v"});
+    t.beginRow().cell(v, precision);
+    t.endRow();
+    return t.at(0, 0);
+}
+
+TEST(Table, FixedCellTextIsPinned)
+{
+    // printf("%.*f") rules: round half to even on the exact binary
+    // value, keep the sign of negative zero.
+    EXPECT_EQ(fixedCell(2.675, 2), "2.67");
+    EXPECT_EQ(fixedCell(2.675, 0), "3");
+    EXPECT_EQ(fixedCell(0.5, 0), "0");
+    EXPECT_EQ(fixedCell(1.5, 0), "2");
+    EXPECT_EQ(fixedCell(2.5, 0), "2");
+    EXPECT_EQ(fixedCell(-0.0, 2), "-0.00");
+    EXPECT_EQ(fixedCell(-0.001, 1), "-0.0");
+    EXPECT_EQ(fixedCell(123.456789, 1), "123.5");
+    EXPECT_EQ(fixedCell(123.456789, 3), "123.457");
+    EXPECT_EQ(fixedCell(123.456789, 4), "123.4568");
+    EXPECT_EQ(fixedCell(123.456789, 6), "123.456789");
+    EXPECT_EQ(fixedCell(1e15 + 0.3, 2), "1000000000000000.25");
+    EXPECT_EQ(fixedCell(3435973836800.0, 0), "3435973836800");
 }
 
 TEST(Table, BuilderMisuseThrows)
