@@ -168,6 +168,21 @@ writeTraceOverheadReport()
     TraceSession session;
     double enabled_ns = time_one(&session);
 
+    // Export of the last traced evaluation: what `optimus_cli trace
+    // --out --csv` writes. Informational; no wall-clock gate.
+    size_t export_bytes = 0;
+    clock::time_point e0 = clock::now();
+    for (int i = 0; i < iters; ++i) {
+        std::string chrome = chromeTraceJson(session).dump();
+        std::string csv = kernelCsv(session);
+        export_bytes = chrome.size() + csv.size();
+        benchmark::DoNotOptimize(export_bytes);
+    }
+    double export_ms =
+        std::chrono::duration<double, std::milli>(clock::now() - e0)
+            .count() /
+        iters;
+
     JsonValue out = JsonValue::object();
     out.set("benchmark", JsonValue::string("trace_overhead"));
     out.set("workload", JsonValue::string(
@@ -179,12 +194,15 @@ writeTraceOverheadReport()
     out.set("overhead_pct",
             JsonValue::number(100.0 * (enabled_ns - disabled_ns) /
                               disabled_ns));
+    out.set("export_ms_per_eval", JsonValue::number(export_ms));
+    out.set("export_bytes", JsonValue::number(double(export_bytes)));
 
     std::ofstream f("BENCH_trace_overhead.json");
     f << out.dump(2) << "\n";
     std::cout << "trace overhead: disabled " << disabled_ns / 1e6
               << " ms/eval, enabled " << enabled_ns / 1e6
-              << " ms/eval -> BENCH_trace_overhead.json\n";
+              << " ms/eval, export " << export_ms << " ms ("
+              << export_bytes << " bytes) -> BENCH_trace_overhead.json\n";
     return out;
 }
 

@@ -8,7 +8,7 @@
 
 #include "plan/plan.h"
 
-#include <cstdio>
+#include <charconv>
 
 #include "util/error.h"
 
@@ -42,12 +42,15 @@ csvCell(const std::string &cell)
     return out;
 }
 
+/** %.17g text: exact, so the CSV parses back to the same doubles. */
 std::string
 csvNumber(double v)
 {
-    char buf[40];
-    std::snprintf(buf, sizeof buf, "%.17g", v);
-    return buf;
+    char buf[32];
+    char *end = std::to_chars(buf, buf + sizeof(buf), v,
+                              std::chars_format::general, 17)
+                    .ptr;
+    return std::string(buf, end);
 }
 
 } // namespace
@@ -97,10 +100,17 @@ summariesToJson(const std::vector<StepSummary> &steps,
     doc.set("version", JsonValue::number(double(kSchemaVersion)));
     doc.set("phase", JsonValue::string(phase));
 
+    // Filling in copies of a template with every member allocates each
+    // step's member list once, at its size.
+    JsonValue step = JsonValue::object();
+    for (const char *key :
+         {"lane", "name", "category", "kind", "count", "per_instance_s",
+          "total_s", "flops", "dram_bytes", "overhead_s", "detail"})
+        step.set(key, JsonValue());
     JsonValue arr = JsonValue::array();
     double total_time = 0.0, total_flops = 0.0, total_bytes = 0.0;
     for (const StepSummary &r : steps) {
-        JsonValue e = JsonValue::object();
+        JsonValue e = step;
         e.set("lane", JsonValue::string(r.lane));
         e.set("name", JsonValue::string(r.name));
         e.set("category", JsonValue::string(r.category));

@@ -38,6 +38,18 @@ class ModelError : public std::logic_error
 /** Throw ConfigError with @p message unless @p condition holds. */
 void checkConfig(bool condition, const std::string &message);
 
+/**
+ * Literal-message overload: builds no std::string unless the check
+ * fails, so hot accessors (JSON members, table cells) stay
+ * allocation-free.
+ */
+inline void
+checkConfig(bool condition, const char *message)
+{
+    if (!condition)
+        throw ConfigError(message);
+}
+
 /** Throw ConfigError unless @p value is strictly positive. */
 void checkPositive(double value, const std::string &name);
 

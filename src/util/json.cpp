@@ -1,9 +1,13 @@
 #include "util/json.h"
 
+#include <algorithm>
+#include <bit>
 #include <cctype>
+#include <charconv>
 #include <cmath>
-#include <cstdio>
+#include <cstdint>
 #include <cstdlib>
+#include <limits>
 
 #include "util/error.h"
 
@@ -13,8 +17,7 @@ JsonValue
 JsonValue::boolean(bool v)
 {
     JsonValue j;
-    j.type_ = Type::Bool;
-    j.bool_ = v;
+    j.value_.emplace<bool>(v);
     return j;
 }
 
@@ -22,8 +25,7 @@ JsonValue
 JsonValue::number(double v)
 {
     JsonValue j;
-    j.type_ = Type::Number;
-    j.number_ = v;
+    j.value_.emplace<double>(v);
     return j;
 }
 
@@ -31,8 +33,7 @@ JsonValue
 JsonValue::string(std::string v)
 {
     JsonValue j;
-    j.type_ = Type::String;
-    j.string_ = std::move(v);
+    j.value_.emplace<std::string>(std::move(v));
     return j;
 }
 
@@ -40,7 +41,7 @@ JsonValue
 JsonValue::array()
 {
     JsonValue j;
-    j.type_ = Type::Array;
+    j.value_.emplace<Array>();
     return j;
 }
 
@@ -48,22 +49,22 @@ JsonValue
 JsonValue::object()
 {
     JsonValue j;
-    j.type_ = Type::Object;
+    j.value_.emplace<Object>();
     return j;
 }
 
 bool
 JsonValue::asBool() const
 {
-    checkConfig(type_ == Type::Bool, "json: expected a boolean");
-    return bool_;
+    checkConfig(isBool(), "json: expected a boolean");
+    return std::get<bool>(value_);
 }
 
 double
 JsonValue::asNumber() const
 {
-    checkConfig(type_ == Type::Number, "json: expected a number");
-    return number_;
+    checkConfig(isNumber(), "json: expected a number");
+    return std::get<double>(value_);
 }
 
 long long
@@ -78,22 +79,22 @@ JsonValue::asInt() const
 const std::string &
 JsonValue::asString() const
 {
-    checkConfig(type_ == Type::String, "json: expected a string");
-    return string_;
+    checkConfig(isString(), "json: expected a string");
+    return std::get<std::string>(value_);
 }
 
 const std::vector<JsonValue> &
 JsonValue::asArray() const
 {
-    checkConfig(type_ == Type::Array, "json: expected an array");
-    return array_;
+    checkConfig(isArray(), "json: expected an array");
+    return std::get<Array>(value_);
 }
 
 const std::vector<std::pair<std::string, JsonValue>> &
 JsonValue::asObject() const
 {
-    checkConfig(type_ == Type::Object, "json: expected an object");
-    return object_;
+    checkConfig(isObject(), "json: expected an object");
+    return std::get<Object>(value_);
 }
 
 bool
@@ -141,32 +142,34 @@ JsonValue::getString(const std::string &key, std::string fallback) const
 JsonValue &
 JsonValue::set(const std::string &key, JsonValue value)
 {
-    checkConfig(type_ == Type::Object, "json: set() needs an object");
-    for (auto &[k, v] : object_) {
+    Object *members = std::get_if<Object>(&value_);
+    checkConfig(members != nullptr, "json: set() needs an object");
+    for (auto &[k, v] : *members) {
         if (k == key) {
             v = std::move(value);
             return *this;
         }
     }
-    object_.emplace_back(key, std::move(value));
+    members->emplace_back(key, std::move(value));
     return *this;
 }
 
 JsonValue &
 JsonValue::push(JsonValue value)
 {
-    checkConfig(type_ == Type::Array, "json: push() needs an array");
-    array_.push_back(std::move(value));
+    Array *elements = std::get_if<Array>(&value_);
+    checkConfig(elements != nullptr, "json: push() needs an array");
+    elements->push_back(std::move(value));
     return *this;
 }
 
 size_t
 JsonValue::size() const
 {
-    if (type_ == Type::Array)
-        return array_.size();
-    if (type_ == Type::Object)
-        return object_.size();
+    if (const Array *elements = std::get_if<Array>(&value_))
+        return elements->size();
+    if (const Object *members = std::get_if<Object>(&value_))
+        return members->size();
     throw ConfigError("json: size() needs an array or object");
 }
 
@@ -305,15 +308,16 @@ class Parser
         expect('"');
         std::string out;
         while (true) {
-            if (pos_ >= text_.size())
+            // Copy the run up to the next quote or escape in one go.
+            const size_t stop = text_.find_first_of("\"\\", pos_);
+            if (stop == std::string::npos) {
+                pos_ = text_.size();
                 fail("unterminated string");
-            char c = text_[pos_++];
-            if (c == '"')
-                return out;
-            if (c != '\\') {
-                out.push_back(c);
-                continue;
             }
+            out.append(text_, pos_, stop - pos_);
+            pos_ = stop + 1;
+            if (text_[stop] == '"')
+                return out;
             if (pos_ >= text_.size())
                 fail("unterminated escape");
             char esc = text_[pos_++];
@@ -379,10 +383,10 @@ class Parser
         if (pos_ == start)
             fail("expected a value");
         char *end = nullptr;
-        std::string token = text_.substr(start, pos_ - start);
-        double v = std::strtod(token.c_str(), &end);
-        if (end != token.c_str() + token.size())
-            fail("malformed number \"" + token + "\"");
+        double v = std::strtod(text_.c_str() + start, &end);
+        if (end != text_.c_str() + pos_)
+            fail("malformed number \"" +
+                 text_.substr(start, pos_ - start) + "\"");
         return JsonValue::number(v);
     }
 };
@@ -390,44 +394,113 @@ class Parser
 void
 escapeInto(std::string &out, const std::string &s)
 {
+    static constexpr char kHex[] = "0123456789abcdef";
     out.push_back('"');
-    for (char c : s) {
+    // Append runs of bytes that need no escape in one call each.
+    const char *run = s.data();
+    const char *end = run + s.size();
+    for (const char *p = run; p != end; ++p) {
+        const unsigned char c = static_cast<unsigned char>(*p);
+        if (c >= 0x20 && c != '"' && c != '\\')
+            continue;
+        out.append(run, static_cast<size_t>(p - run));
+        run = p + 1;
         switch (c) {
           case '"': out += "\\\""; break;
           case '\\': out += "\\\\"; break;
           case '\n': out += "\\n"; break;
           case '\r': out += "\\r"; break;
           case '\t': out += "\\t"; break;
-          default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-                out += buf;
-            } else {
-                out.push_back(c);
-            }
+          default: {
+            const char esc[] = {'\\', 'u', '0', '0', kHex[c >> 4],
+                                kHex[c & 0xF]};
+            out.append(esc, sizeof(esc));
+          }
         }
     }
+    out.append(run, static_cast<size_t>(end - run));
     out.push_back('"');
+}
+
+/**
+ * Write the first of %.12g/%.15g/%.16g/%.17g that parses back to @p v
+ * into @p buf; returns the end of the text. Ledger round trips
+ * (RunRecord serialize -> parse) must be lossless, but "0.1" should
+ * not print as "0.1000000000000000056".
+ *
+ * For a normal v that is not a power of two, the rounding interval is
+ * symmetric and narrower than one unit in the 15th digit. Then %.{p}g
+ * parses back exactly when p reaches the digit count n of the
+ * shortest round-trip text, and its digits are that text's digits. So
+ * the answer is the shortest text laid out by the %g rule for the
+ * first p >= n. Powers of two (a lopsided interval), subnormals (a
+ * wide one), inf and nan take the checked loop instead.
+ */
+char *
+roundTripInto(char *buf, char *last, double v)
+{
+    const std::uint64_t mantissa =
+        std::bit_cast<std::uint64_t>(v) & ((std::uint64_t(1) << 52) - 1);
+    if (!std::isnormal(v) || mantissa == 0) {
+        char *end = buf;
+        for (int prec : {12, 15, 16, 17}) {
+            end = std::to_chars(buf, last, v, std::chars_format::general,
+                                prec)
+                      .ptr;
+            double back = std::numeric_limits<double>::quiet_NaN();
+            std::from_chars(buf, end, back);
+            if (back == v)
+                break;
+        }
+        return end;
+    }
+
+    // Shortest text, "[-]d[.ddd]e(+|-)xx".
+    char sci[32];
+    char *sci_end = std::to_chars(sci, sci + sizeof(sci), v,
+                                  std::chars_format::scientific)
+                        .ptr;
+    const char *e = std::find(sci, sci_end, 'e');
+    int exp10 = 0;
+    std::from_chars(e + (e[1] == '+' ? 2 : 1), sci_end, exp10);
+    char digits[17];
+    int n = 0;
+    for (const char *p = sci; p != e; ++p)
+        if (*p >= '0' && *p <= '9')
+            digits[n++] = *p;
+    const int prec = n <= 12 ? 12 : n <= 15 ? 15 : n;
+
+    // %g: exponent style outside [-4, prec), where it matches the
+    // shortest scientific text; fixed style inside it.
+    if (exp10 < -4 || exp10 >= prec)
+        return std::copy(sci, sci_end, buf);
+    char *out = buf;
+    if (v < 0)
+        *out++ = '-';
+    if (exp10 < 0) {
+        *out++ = '0';
+        *out++ = '.';
+        out = std::fill_n(out, -exp10 - 1, '0');
+        return std::copy_n(digits, n, out);
+    }
+    const int whole = exp10 + 1;
+    if (n <= whole)
+        return std::fill_n(std::copy_n(digits, n, out), whole - n, '0');
+    out = std::copy_n(digits, whole, out);
+    *out++ = '.';
+    return std::copy_n(digits + whole, n - whole, out);
 }
 
 void
 numberInto(std::string &out, double v)
 {
-    if (v == static_cast<long long>(v) && std::fabs(v) < 1e15) {
-        out += std::to_string(static_cast<long long>(v));
-        return;
-    }
-    // Shortest representation that parses back to the same double:
-    // ledger round trips (RunRecord serialize -> parse) must be
-    // lossless, but "0.1" should not print as "0.1000000000000000056".
-    char buf[40];
-    for (int prec : {12, 15, 16, 17}) {
-        std::snprintf(buf, sizeof(buf), "%.*g", prec, v);
-        if (std::strtod(buf, nullptr) == v)
-            break;
-    }
-    out += buf;
+    char buf[32];
+    char *end = std::fabs(v) < 1e15 && v == static_cast<long long>(v)
+                    ? std::to_chars(buf, buf + sizeof(buf),
+                                    static_cast<long long>(v))
+                          .ptr
+                    : roundTripInto(buf, buf + sizeof(buf), v);
+    out.append(buf, static_cast<size_t>(end - buf));
 }
 
 } // namespace
@@ -448,47 +521,51 @@ JsonValue::dumpTo(std::string &out, int indent, int depth) const
         }
     };
 
-    switch (type_) {
+    switch (type()) {
       case Type::Null:
         out += "null";
         break;
       case Type::Bool:
-        out += bool_ ? "true" : "false";
+        out += std::get<bool>(value_) ? "true" : "false";
         break;
       case Type::Number:
-        numberInto(out, number_);
+        numberInto(out, std::get<double>(value_));
         break;
       case Type::String:
-        escapeInto(out, string_);
+        escapeInto(out, std::get<std::string>(value_));
         break;
-      case Type::Array:
+      case Type::Array: {
+        const Array &elements = std::get<Array>(value_);
         out.push_back('[');
-        for (size_t i = 0; i < array_.size(); ++i) {
+        for (size_t i = 0; i < elements.size(); ++i) {
             if (i)
                 out.push_back(',');
             newline(depth + 1);
-            array_[i].dumpTo(out, indent, depth + 1);
+            elements[i].dumpTo(out, indent, depth + 1);
         }
-        if (!array_.empty())
+        if (!elements.empty())
             newline(depth);
         out.push_back(']');
         break;
-      case Type::Object:
+      }
+      case Type::Object: {
+        const Object &members = std::get<Object>(value_);
         out.push_back('{');
-        for (size_t i = 0; i < object_.size(); ++i) {
+        for (size_t i = 0; i < members.size(); ++i) {
             if (i)
                 out.push_back(',');
             newline(depth + 1);
-            escapeInto(out, object_[i].first);
+            escapeInto(out, members[i].first);
             out.push_back(':');
             if (indent > 0)
                 out.push_back(' ');
-            object_[i].second.dumpTo(out, indent, depth + 1);
+            members[i].second.dumpTo(out, indent, depth + 1);
         }
-        if (!object_.empty())
+        if (!members.empty())
             newline(depth);
         out.push_back('}');
         break;
+      }
     }
 }
 

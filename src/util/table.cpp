@@ -1,11 +1,19 @@
 #include "util/table.h"
 
 #include <algorithm>
-#include <cstdio>
+#include <charconv>
+#include <limits>
 
 #include "util/error.h"
 
 namespace optimus {
+
+namespace {
+
+/** Largest decimal precision a numeric cell accepts. */
+constexpr int kMaxPrecision = 32;
+
+} // namespace
 
 Table::Table(std::vector<std::string> headers)
     : headers_(std::move(headers))
@@ -16,10 +24,11 @@ Table::Table(std::vector<std::string> headers)
 void
 Table::addRow(std::vector<std::string> cells)
 {
-    checkConfig(cells.size() == headers_.size(),
-                "row has " + std::to_string(cells.size()) +
-                " cells, table has " + std::to_string(headers_.size()) +
-                " columns");
+    // Build the message only on failure: rows are added per kernel.
+    if (cells.size() != headers_.size())
+        throw ConfigError("row has " + std::to_string(cells.size()) +
+                          " cells, table has " +
+                          std::to_string(headers_.size()) + " columns");
     rows_.push_back(std::move(cells));
 }
 
@@ -43,9 +52,16 @@ Table::cell(const std::string &value)
 Table &
 Table::cell(double value, int precision)
 {
-    char buf[64];
-    std::snprintf(buf, sizeof(buf), "%.*f", precision, value);
-    return cell(std::string(buf));
+    checkConfig(precision >= 0 && precision <= kMaxPrecision,
+                "cell precision out of range");
+    // printf("%.*f") text; fixed notation of DBL_MAX has 309 integer
+    // digits, plus the sign, the point and the fraction.
+    char buf[1 + (std::numeric_limits<double>::max_exponent10 + 1) + 1 +
+             kMaxPrecision];
+    char *end = std::to_chars(buf, buf + sizeof(buf), value,
+                              std::chars_format::fixed, precision)
+                    .ptr;
+    return cell(std::string(buf, end));
 }
 
 Table &
@@ -59,7 +75,7 @@ Table::endRow()
 {
     checkConfig(building_, "endRow without beginRow");
     building_ = false;
-    addRow(pending_);
+    addRow(std::move(pending_));
     pending_.clear();
 }
 

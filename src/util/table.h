@@ -33,7 +33,10 @@ class Table
     Table &beginRow();
     /** Append a string cell to the row under construction. */
     Table &cell(const std::string &value);
-    /** Append a numeric cell with @p precision decimal digits. */
+    /**
+     * Append a numeric cell with @p precision decimal digits
+     * (printf "%.*f" text; 0 <= precision <= 32).
+     */
     Table &cell(double value, int precision = 2);
     /** Append an integer cell. */
     Table &cell(long long value);

@@ -6,7 +6,13 @@
 #include <gtest/gtest.h>
 
 #include <cfloat>
+#include <cmath>
+#include <cstdint>
+#include <cstdio>
+#include <cstdlib>
+#include <cstring>
 #include <limits>
+#include <random>
 #include <string>
 
 #include "util/error.h"
@@ -145,6 +151,55 @@ TEST(Json, NumberTextIsPinned)
     EXPECT_EQ(dumped(0.123456789012345), "0.123456789012345");
     EXPECT_EQ(dumped(100.0 / 7), "14.285714285714286");
     EXPECT_EQ(dumped(0.1 + 0.2), "0.30000000000000004");
+}
+
+/** Reference: the printf/strtod rule the number writer must match. */
+std::string
+printfReference(double v)
+{
+    if (std::fabs(v) < 1e15 && v == static_cast<long long>(v))
+        return std::to_string(static_cast<long long>(v));
+    char buf[40];
+    for (int prec : {12, 15, 16, 17}) {
+        std::snprintf(buf, sizeof(buf), "%.*g", prec, v);
+        if (std::strtod(buf, nullptr) == v)
+            break;
+    }
+    return buf;
+}
+
+TEST(Json, NumberTextMatchesPrintfReference)
+{
+    // Random bit patterns (nan, inf, subnormals included), powers of
+    // two, neighbours of powers of ten, short decimals and values that
+    // need 15-17 digits.
+    std::mt19937_64 rng(20240611);
+    std::uniform_real_distribution<double> unit(0.0, 1.0);
+    int mismatches = 0;
+    for (int i = 0; i < 60000; ++i) {
+        double v = 0.0;
+        switch (i % 6) {
+          case 0: {
+            const std::uint64_t bits = rng();
+            std::memcpy(&v, &bits, sizeof(v));
+            break;
+          }
+          case 1: v = std::ldexp(1.0, int(rng() % 2100) - 1075); break;
+          case 2:
+            v = std::nextafter(std::pow(10.0, int(rng() % 640) - 320),
+                               rng() % 2 ? 0.0 : DBL_MAX);
+            break;
+          case 3: v = double(rng() % 2000000) / double(1 + rng() % 1000); break;
+          case 4: v = unit(rng) * std::pow(10.0, int(rng() % 40) - 20); break;
+          default: v = unit(rng) * 1e6; break;
+        }
+        if (rng() % 2)
+            v = -v;
+        const std::string want = printfReference(v);
+        if (dumped(v) != want && ++mismatches <= 5)
+            ADD_FAILURE() << "dump of " << want << " gave " << dumped(v);
+    }
+    EXPECT_EQ(mismatches, 0);
 }
 
 TEST(Json, IntegerTextIsPinned)

@@ -4,6 +4,8 @@
  */
 
 #include <cmath>
+#include <cstdio>
+#include <random>
 #include <sstream>
 #include <string>
 
@@ -165,6 +167,37 @@ TEST(Table, FixedCellTextIsPinned)
     EXPECT_EQ(fixedCell(123.456789, 6), "123.456789");
     EXPECT_EQ(fixedCell(1e15 + 0.3, 2), "1000000000000000.25");
     EXPECT_EQ(fixedCell(3435973836800.0, 0), "3435973836800");
+}
+
+TEST(Table, FixedCellTextMatchesPrintfReference)
+{
+    std::mt19937_64 rng(20240611);
+    std::uniform_real_distribution<double> unit(-1.0, 1.0);
+    int mismatches = 0;
+    for (int i = 0; i < 20000; ++i) {
+        const double v = unit(rng) * std::pow(10.0, int(rng() % 60) - 20);
+        const int precision = int(rng() % 7);
+        char want[128];
+        std::snprintf(want, sizeof(want), "%.*f", precision, v);
+        if (fixedCell(v, precision) != want && ++mismatches <= 5)
+            ADD_FAILURE() << want << " at precision " << precision
+                          << " gave " << fixedCell(v, precision);
+    }
+    EXPECT_EQ(mismatches, 0);
+}
+
+TEST(Table, HugeFixedCellIsNotTruncated)
+{
+    // 1e100 as a double has 101 integer digits in fixed notation.
+    EXPECT_EQ(fixedCell(1e100, 2),
+              "10000000000000000159028911097599180468360808563945"
+              "28138978132755774783877217038106081346998585681510"
+              "4.00");
+    const std::string max = fixedCell(-1.7976931348623157e308, 32);
+    EXPECT_EQ(max.size(), 1u + 309u + 1u + 32u);
+    EXPECT_EQ(max.substr(0, 6), "-17976");
+    EXPECT_THROW(fixedCell(1.0, -1), ConfigError);
+    EXPECT_THROW(fixedCell(1.0, 33), ConfigError);
 }
 
 TEST(Table, BuilderMisuseThrows)
