@@ -100,17 +100,10 @@ summariesToJson(const std::vector<StepSummary> &steps,
     doc.set("version", JsonValue::number(double(kSchemaVersion)));
     doc.set("phase", JsonValue::string(phase));
 
-    // Filling in copies of a template with every member allocates each
-    // step's member list once, at its size.
-    JsonValue step = JsonValue::object();
-    for (const char *key :
-         {"lane", "name", "category", "kind", "count", "per_instance_s",
-          "total_s", "flops", "dram_bytes", "overhead_s", "detail"})
-        step.set(key, JsonValue());
     JsonValue arr = JsonValue::array();
     double total_time = 0.0, total_flops = 0.0, total_bytes = 0.0;
     for (const StepSummary &r : steps) {
-        JsonValue e = step;
+        JsonValue e = JsonValue::object();
         e.set("lane", JsonValue::string(r.lane));
         e.set("name", JsonValue::string(r.name));
         e.set("category", JsonValue::string(r.category));

@@ -195,15 +195,9 @@ toJson(const RunRecord &rec)
         metrics.set(kv.first, JsonValue::number(kv.second));
     j.set("metrics", std::move(metrics));
 
-    // Filling in copies of a template with every member allocates each
-    // row's member list once, at its size.
-    JsonValue kernel_row = JsonValue::object();
-    for (const char *key : {"key", "category", "count", "time", "flops",
-                            "dram_bytes", "overhead", "bound"})
-        kernel_row.set(key, JsonValue());
     JsonValue kernels = JsonValue::array();
     for (const KernelStat &k : rec.kernels) {
-        JsonValue e = kernel_row;
+        JsonValue e = JsonValue::object();
         e.set("key", JsonValue::string(k.key));
         e.set("category", JsonValue::string(k.category));
         e.set("count", JsonValue::number(double(k.count)));

@@ -50,19 +50,12 @@ chromeTraceJson(const TraceSession &session)
         events.push(std::move(e));
     }
 
-    // Every span event has the same eight members: filling in a copy
-    // of this template allocates each member list once, at its size.
-    JsonValue span_event = JsonValue::object();
-    for (const char *key :
-         {"ph", "name", "cat", "pid", "tid", "ts", "dur", "args"})
-        span_event.set(key, JsonValue());
-    span_event.set("ph", JsonValue::string("X"));
-    span_event.set("pid", JsonValue::number(0));
-
     for (const TraceSpan &s : session.spans()) {
-        JsonValue e = span_event;
+        JsonValue e = JsonValue::object();
+        e.set("ph", JsonValue::string("X"));
         e.set("name", JsonValue::string(s.name));
         e.set("cat", JsonValue::string(s.category));
+        e.set("pid", JsonValue::number(0));
         e.set("tid", JsonValue::number(double(s.lane)));
         e.set("ts", JsonValue::number(toMicros(s.start)));
         e.set("dur", JsonValue::number(toMicros(s.duration)));

@@ -3,13 +3,6 @@
 namespace optimus {
 
 void
-checkConfig(bool condition, const std::string &message)
-{
-    if (!condition)
-        throw ConfigError(message);
-}
-
-void
 checkPositive(double value, const std::string &name)
 {
     if (!(value > 0.0))

@@ -14,6 +14,7 @@
 
 #include <stdexcept>
 #include <string>
+#include <string_view>
 
 namespace optimus {
 
@@ -35,19 +36,16 @@ class ModelError : public std::logic_error
     {}
 };
 
-/** Throw ConfigError with @p message unless @p condition holds. */
-void checkConfig(bool condition, const std::string &message);
-
 /**
- * Literal-message overload: builds no std::string unless the check
- * fails, so hot accessors (JSON members, table cells) stay
- * allocation-free.
+ * Throw ConfigError with @p message unless @p condition holds. Inline
+ * and taking a view, so a passing check with a literal message builds
+ * no std::string.
  */
 inline void
-checkConfig(bool condition, const char *message)
+checkConfig(bool condition, std::string_view message)
 {
     if (!condition)
-        throw ConfigError(message);
+        throw ConfigError(std::string(message));
 }
 
 /** Throw ConfigError unless @p value is strictly positive. */

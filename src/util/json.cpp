@@ -1,11 +1,8 @@
 #include "util/json.h"
 
-#include <algorithm>
-#include <bit>
 #include <cctype>
 #include <charconv>
 #include <cmath>
-#include <cstdint>
 #include <cstdlib>
 #include <limits>
 
@@ -428,67 +425,30 @@ escapeInto(std::string &out, const std::string &s)
  * (RunRecord serialize -> parse) must be lossless, but "0.1" should
  * not print as "0.1000000000000000056".
  *
- * For a normal v that is not a power of two, the rounding interval is
- * symmetric and narrower than one unit in the 15th digit. Then %.{p}g
- * parses back exactly when p reaches the digit count n of the
- * shortest round-trip text, and its digits are that text's digits. So
- * the answer is the shortest text laid out by the %g rule for the
- * first p >= n. Powers of two (a lopsided interval), subnormals (a
- * wide one), inf and nan take the checked loop instead.
+ * A %.{p}g text that parses back has at most p digits, so no p below
+ * the digit count of the shortest round-trip text can: the checked
+ * loop starts at the first precision that reaches it.
  */
 char *
 roundTripInto(char *buf, char *last, double v)
 {
-    const std::uint64_t mantissa =
-        std::bit_cast<std::uint64_t>(v) & ((std::uint64_t(1) << 52) - 1);
-    if (!std::isnormal(v) || mantissa == 0) {
-        char *end = buf;
-        for (int prec : {12, 15, 16, 17}) {
-            end = std::to_chars(buf, last, v, std::chars_format::general,
-                                prec)
-                      .ptr;
-            double back = std::numeric_limits<double>::quiet_NaN();
-            std::from_chars(buf, end, back);
-            if (back == v)
-                break;
-        }
-        return end;
+    const char *shortest_end =
+        std::to_chars(buf, last, v, std::chars_format::scientific).ptr;
+    int digits = 0;
+    for (const char *p = buf; p != shortest_end && *p != 'e'; ++p)
+        digits += *p >= '0' && *p <= '9';
+    char *end = buf;
+    for (int prec : {12, 15, 16, 17}) {
+        if (prec < digits)
+            continue;
+        end = std::to_chars(buf, last, v, std::chars_format::general, prec)
+                  .ptr;
+        double back = std::numeric_limits<double>::quiet_NaN();
+        std::from_chars(buf, end, back);
+        if (back == v)
+            break;
     }
-
-    // Shortest text, "[-]d[.ddd]e(+|-)xx".
-    char sci[32];
-    char *sci_end = std::to_chars(sci, sci + sizeof(sci), v,
-                                  std::chars_format::scientific)
-                        .ptr;
-    const char *e = std::find(sci, sci_end, 'e');
-    int exp10 = 0;
-    std::from_chars(e + (e[1] == '+' ? 2 : 1), sci_end, exp10);
-    char digits[17];
-    int n = 0;
-    for (const char *p = sci; p != e; ++p)
-        if (*p >= '0' && *p <= '9')
-            digits[n++] = *p;
-    const int prec = n <= 12 ? 12 : n <= 15 ? 15 : n;
-
-    // %g: exponent style outside [-4, prec), where it matches the
-    // shortest scientific text; fixed style inside it.
-    if (exp10 < -4 || exp10 >= prec)
-        return std::copy(sci, sci_end, buf);
-    char *out = buf;
-    if (v < 0)
-        *out++ = '-';
-    if (exp10 < 0) {
-        *out++ = '0';
-        *out++ = '.';
-        out = std::fill_n(out, -exp10 - 1, '0');
-        return std::copy_n(digits, n, out);
-    }
-    const int whole = exp10 + 1;
-    if (n <= whole)
-        return std::fill_n(std::copy_n(digits, n, out), whole - n, '0');
-    out = std::copy_n(digits, whole, out);
-    *out++ = '.';
-    return std::copy_n(digits + whole, n - whole, out);
+    return end;
 }
 
 void
