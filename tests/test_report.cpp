@@ -10,12 +10,19 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
 
+#include "dse/search.h"
 #include "hw/presets.h"
+#include "inference/engine.h"
+#include "plan/plan.h"
+#include "planner/planner.h"
 #include "report/diff.h"
 #include "report/record.h"
 #include "report/version.h"
+#include "roofline/gemm.h"
+#include "trace/trace.h"
 #include "training/trainer.h"
 #include "util/error.h"
 #include "util/json.h"
@@ -284,6 +291,110 @@ TEST(RunDiff, TextReportNamesKernelAndDecomposition)
     EXPECT_NE(text.find(b.kernels[1].key), std::string::npos);
     EXPECT_NE(text.find("time/total"), std::string::npos);
     EXPECT_NE(text.find("DRIFT"), std::string::npos);
+}
+
+/** The rows of @p session fold equal the detail plan's, exactly. */
+void
+expectSameRows(const TraceSession &session,
+               const plan::EvaluatedPlan &ep)
+{
+    report::RunRecord rec;
+    report::foldTrace(rec, session);
+    std::vector<plan::KernelAggregate> want = plan::kernelAggregates(ep);
+    ASSERT_FALSE(want.empty());
+    ASSERT_EQ(want.size(), rec.kernels.size());
+    for (size_t i = 0; i < want.size(); ++i) {
+        const report::KernelStat &got = rec.kernels[i];
+        SCOPED_TRACE(want[i].key);
+        EXPECT_EQ(want[i].key, got.key);
+        EXPECT_EQ(want[i].category, got.category);
+        EXPECT_EQ(want[i].count, got.count);
+        EXPECT_EQ(want[i].time, got.time);
+        EXPECT_EQ(want[i].flops, got.flops);
+        EXPECT_EQ(want[i].dramBytes, got.dramBytes);
+        EXPECT_EQ(want[i].overhead, got.overhead);
+        EXPECT_EQ(want[i].bound, got.bound);
+    }
+}
+
+TEST(Report, SessionFoldEqualsPlanFold)
+{
+    ParallelConfig par;
+    par.dataParallel = 2;
+    par.tensorParallel = 4;
+    par.pipelineParallel = 2;
+    par.sequenceParallel = true;
+    TrainingOptions topts;
+    topts.recompute = Recompute::Selective;
+    TraceSession train;
+    topts.trace = &train;
+    evaluateTraining(models::gpt7b(), presets::dgxA100(2), par, 32,
+                     topts);
+    topts.trace = nullptr;
+    expectSameRows(train, plan::runTraining(models::gpt7b(),
+                                            presets::dgxA100(2), par,
+                                            32, topts, true)
+                              .plan);
+
+    // A long generation, so decode kernels change bound class as the
+    // context grows and the time-dominant label is exercised.
+    InferenceOptions iopts;
+    iopts.tensorParallel = 2;
+    iopts.batch = 4;
+    iopts.promptLength = 1024;
+    iopts.generateLength = 512;
+    TraceSession infer;
+    iopts.trace = &infer;
+    evaluateInference(models::llama2_13b(), presets::dgxA100(1), iopts);
+    iopts.trace = nullptr;
+    expectSameRows(infer, plan::runInference(models::llama2_13b(),
+                                             presets::dgxA100(1), iopts,
+                                             true)
+                              .plan);
+}
+
+bool
+sortedByKey(const report::RunRecord &rec)
+{
+    return std::is_sorted(rec.kernels.begin(), rec.kernels.end(),
+                          [](const report::KernelStat &a,
+                             const report::KernelStat &b) {
+                              return a.key < b.key;
+                          });
+}
+
+TEST(Report, PlannerAndDseRecords)
+{
+    // The planner and the DSE trace counters only, so their records
+    // carry the session counters and no kernel rows.
+    TrainingPlannerOptions popts;
+    popts.keep = 3;
+    report::RunRecord planner = report::recordPlanner(
+        models::gpt7b(), presets::dgxA100(2), 64, popts, "planner");
+    EXPECT_EQ("planner", planner.kind);
+    EXPECT_EQ(3.0, planner.metric("plans/found"));
+    EXPECT_GT(planner.counters.at("planner/plans-evaluated"), 3.0);
+    EXPECT_TRUE(sortedByKey(planner));
+    EXPECT_TRUE(planner.kernels.empty());
+
+    TechConfig tech;
+    tech.node = logicNode("N5");
+    tech.dram = dram::hbm3_26();
+    DseOptions dopts;
+    dopts.gridSteps = 2;
+    dopts.refineRounds = 2;
+    report::RunRecord dse = report::recordDse(
+        tech,
+        [](const Device &dev) {
+            return estimateGemm(dev, {4096, 4096, 4096, Precision::FP16})
+                .time;
+        },
+        dopts, JsonValue::object(), "dse");
+    EXPECT_EQ("dse", dse.kind);
+    EXPECT_EQ(dse.metric("evaluations"),
+              dse.counters.at("dse/evaluations"));
+    EXPECT_TRUE(sortedByKey(dse));
+    EXPECT_TRUE(dse.kernels.empty());
 }
 
 } // namespace

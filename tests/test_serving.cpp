@@ -175,6 +175,24 @@ TEST(Serving, Tp16AcrossTwoNodesPaysInterNodeAllReduce)
                 engine.decode.commTime, 1e-12 * inter.time);
 }
 
+TEST(Serving, EvaluatesPromptOneGenerateOne)
+{
+    // The smallest legal request: one prompt token, one generated
+    // token, so the decode step runs at context 1.
+    System sys = presets::dgxA100(1);
+    ServingOptions opts = chatOptions(2);
+    opts.promptLength = 1;
+    opts.generateLength = 1;
+    ServingPoint pt =
+        evaluateServingPoint(models::llama2_13b(), sys, opts, 4);
+    EXPECT_NEAR(13.26493202039e-3, pt.decodeStepTime,
+                1e-9 * pt.decodeStepTime);
+    EXPECT_NEAR(12.25277217585e-3, pt.timeToFirstToken,
+                1e-9 * pt.timeToFirstToken);
+    EXPECT_NEAR(156.7539136452, pt.tokensPerSecond,
+                1e-9 * pt.tokensPerSecond);
+}
+
 TEST(Serving, RejectsBadInputs)
 {
     System sys = presets::dgxA100(1);

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include "hw/precision.h"
 #include "hw/presets.h"
 #include "inference/engine.h"
 #include "inference/speculative.h"
@@ -118,6 +119,82 @@ TEST(Speculative, RejectsBadSetups)
     EXPECT_THROW(evaluateSpeculative(models::llama2_7b(),
                                      models::llama2_70b(), sys, opts),
                  ConfigError);
+}
+
+/** The engine's one-token decode of @p queries queries at context. */
+double
+engineStep(const TransformerConfig &cfg, const System &sys,
+           const SpeculativeOptions &opts, long long queries,
+           long long tp)
+{
+    InferenceOptions io;
+    io.precision = opts.precision;
+    io.kvPrecision = opts.precision;
+    io.tensorParallel = tp;
+    io.batch = queries;
+    io.promptLength = opts.context - 1;
+    io.generateLength = 1;
+    return evaluateInference(cfg, sys, io).decode.time;
+}
+
+TEST(Speculative, StepsAreTheEngineDecodeStep)
+{
+    // Draft, verify and plain target steps are each the engine's
+    // one-token decode: the draft unsharded at one query, the target
+    // at its TP degree with gamma + 1 queries (verify) or one.
+    struct Case
+    {
+        TransformerConfig target;
+        TransformerConfig draft;
+        System sys;
+        Precision precision;
+        long long tp;
+    };
+    const Case cases[] = {
+        {models::llama2_70b(), models::llama2_7b(), presets::dgxA100(1),
+         Precision::FP16, 8},
+        {models::llama2_13b(), models::llama2_7b(), presets::dgxH100(1),
+         Precision::FP8, 2},
+    };
+    double verify_fp16 = 0.0;
+    for (const Case &c : cases) {
+        SCOPED_TRACE(c.target.name + " " + precisionName(c.precision));
+        SpeculativeOptions opts = defaults();
+        opts.precision = c.precision;
+        opts.tensorParallel = c.tp;
+        SpeculativeReport rep =
+            evaluateSpeculative(c.target, c.draft, c.sys, opts);
+
+        double draft = engineStep(c.draft, c.sys, opts, 1, 1);
+        double verify =
+            engineStep(c.target, c.sys, opts, opts.gamma + 1, c.tp);
+        double plain = engineStep(c.target, c.sys, opts, 1, c.tp);
+        EXPECT_NEAR(draft, rep.draftStepTime, 1e-12 * draft);
+        EXPECT_NEAR(verify, rep.verifyTime, 1e-12 * verify);
+        EXPECT_NEAR(plain, 1.0 / rep.baselineTokensPerSecond,
+                    1e-12 * plain);
+        if (c.precision == Precision::FP16)
+            verify_fp16 = rep.verifyTime;
+    }
+
+    EXPECT_NEAR(23.95510529288e-3, verify_fp16, 1e-9 * verify_fp16);
+}
+
+TEST(Speculative, EvaluatesAtContextOne)
+{
+    // The smallest legal context: the first decode step after an
+    // empty prompt.
+    System sys = presets::dgxA100(1);
+    SpeculativeOptions opts = defaults();
+    opts.context = 1;
+    SpeculativeReport rep = evaluateSpeculative(
+        models::llama2_70b(), models::llama2_7b(), sys, opts);
+    EXPECT_NEAR(10.48379989966e-3, rep.draftStepTime,
+                1e-9 * rep.draftStepTime);
+    EXPECT_NEAR(100.0922680431e-3, rep.verifyTime,
+                1e-9 * rep.verifyTime);
+    EXPECT_NEAR(10.09109226579, rep.baselineTokensPerSecond,
+                1e-9 * rep.baselineTokensPerSecond);
 }
 
 // Property: speedup is unimodal-ish in gamma; tiny gamma underuses
