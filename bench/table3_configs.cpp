@@ -49,7 +49,7 @@ main()
 
         std::string batches = std::to_string(r.batch);
         if (r.batch_large > 0)
-            batches += "/" + std::to_string(r.batch_large);
+            batches.append("/").append(std::to_string(r.batch_large));
         out.beginRow()
             .cell(r.model.name)
             .cell(batches)

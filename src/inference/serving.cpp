@@ -1,55 +1,15 @@
 #include "inference/serving.h"
 
-#include <algorithm>
-
-#include "comm/collective.h"
 #include "memory/kv_cache.h"
+#include "plan/plan.h"
 #include "util/error.h"
-#include "workload/graph.h"
 
 namespace optimus {
-
-namespace {
-
-/** One decode step for @p batch sequences at @p context tokens. */
-double
-decodeStepTime(const TransformerConfig &cfg, const System &sys,
-               const ServingOptions &opts, long long batch,
-               long long context)
-{
-    const Device &dev = sys.device;
-    double step = 0.0;
-    for (const Op &op : decodeLayerOps(cfg, batch, context,
-                                       opts.tensorParallel,
-                                       opts.precision,
-                                       opts.kvPrecision))
-        step += evaluateOp(dev, op).time;
-    step *= double(cfg.numLayers);
-
-    if (opts.tensorParallel > 1) {
-        double volume = double(batch) * cfg.hiddenSize *
-                        precisionBytes(opts.precision);
-        CollectiveResult ar = systemCollective(
-            sys, CollectiveKind::AllReduce, volume,
-            opts.tensorParallel, groupScopeFor(sys, opts.tensorParallel),
-            opts.collectiveAlgorithm);
-        step += 2.0 * ar.time * double(cfg.numLayers);
-    }
-
-    for (const Op &op : headOps(cfg, batch, opts.tensorParallel,
-                                opts.precision))
-        step += evaluateOp(sys.device, op).time;
-    return step;
-}
-
-} // namespace
 
 ServingPoint
 evaluateServingPoint(const TransformerConfig &cfg, const System &sys,
                      const ServingOptions &opts, long long batch)
 {
-    cfg.validate();
-    sys.validate();
     checkPositive(batch, "batch");
     checkPositive(opts.promptLength, "promptLength");
     checkPositive(opts.generateLength, "generateLength");
@@ -57,23 +17,29 @@ evaluateServingPoint(const TransformerConfig &cfg, const System &sys,
     ServingPoint pt;
     pt.batch = batch;
 
-    const long long mean_context =
-        opts.promptLength + opts.generateLength / 2;
+    InferenceOptions io;
+    io.precision = opts.precision;
+    io.kvPrecision = opts.kvPrecision;
+    io.tensorParallel = opts.tensorParallel;
+    io.flashAttention = opts.flashAttention;
+    io.collectiveAlgorithm = opts.collectiveAlgorithm;
+    io.generateLength = 1;
 
+    // One decode step for every sequence at the mean context
+    // (prompt + generate / 2): the plan's one-token decode.
+    io.batch = batch;
+    io.promptLength = opts.promptLength + opts.generateLength / 2 - 1;
     pt.decodeStepTime =
-        decodeStepTime(cfg, sys, opts, batch, mean_context);
+        plan::foldInference(
+            plan::evaluatePlan(plan::lowerDecode(cfg, sys, io), sys),
+            nullptr)
+            .decode.time;
 
     // Continuous batching interleaves one prefill per completed
     // sequence; amortize its cost over that sequence's generated
     // tokens. Prefill runs at batch 1 (chunked alongside decode).
-    InferenceOptions io;
-    io.precision = opts.precision;
-    io.tensorParallel = opts.tensorParallel;
     io.batch = 1;
     io.promptLength = opts.promptLength;
-    io.generateLength = 1;
-    io.flashAttention = opts.flashAttention;
-    io.collectiveAlgorithm = opts.collectiveAlgorithm;
     InferenceReport one = evaluateInference(cfg, sys, io);
     pt.timeToFirstToken = one.prefill.time;
 

@@ -9,6 +9,10 @@
  * sustainable token/request throughput, time-to-first-token, and the
  * largest batch the KV cache allows — plus dollars per million tokens
  * when combined with the energy/TCO module.
+ *
+ * The decode step comes from the plan: a one-token plan::lowerDecode
+ * plan at the mean context, folded by plan::foldInference, so it is
+ * the engine's per-token decode by construction.
  */
 
 #ifndef OPTIMUS_INFERENCE_SERVING_H

@@ -2,40 +2,10 @@
 
 #include <cmath>
 
-#include "comm/collective.h"
+#include "plan/plan.h"
 #include "util/error.h"
-#include "workload/graph.h"
 
 namespace optimus {
-
-namespace {
-
-/** One decode step over @p queries query tokens at @p context. */
-double
-stepTime(const TransformerConfig &cfg, const System &sys,
-         const SpeculativeOptions &opts, long long queries,
-         long long tp)
-{
-    double t = 0.0;
-    for (const Op &op : decodeLayerOps(cfg, queries, opts.context, tp,
-                                       opts.precision))
-        t += evaluateOp(sys.device, op).time;
-    t *= double(cfg.numLayers);
-
-    if (tp > 1) {
-        double volume = double(queries) * cfg.hiddenSize *
-                        precisionBytes(opts.precision);
-        CollectiveResult ar = systemCollective(
-            sys, CollectiveKind::AllReduce, volume, tp,
-            groupScopeFor(sys, tp));
-        t += 2.0 * ar.time * double(cfg.numLayers);
-    }
-    for (const Op &op : headOps(cfg, queries, tp, opts.precision))
-        t += evaluateOp(sys.device, op).time;
-    return t;
-}
-
-} // namespace
 
 SpeculativeReport
 evaluateSpeculative(const TransformerConfig &target,
@@ -52,12 +22,29 @@ evaluateSpeculative(const TransformerConfig &target,
     checkConfig(draft.parameterCount() < target.parameterCount(),
                 "draft model must be smaller than the target");
 
+    // Every step is the plan's one-token decode at the current
+    // context. The cache is read at the compute precision.
+    InferenceOptions io;
+    io.precision = opts.precision;
+    io.kvPrecision = opts.precision;
+    io.promptLength = opts.context - 1;
+    io.generateLength = 1;
+    auto step = [&](const TransformerConfig &cfg, long long queries,
+                    long long tp) {
+        io.batch = queries;
+        io.tensorParallel = tp;
+        return plan::foldInference(
+                   plan::evaluatePlan(plan::lowerDecode(cfg, sys, io),
+                                      sys),
+                   nullptr)
+            .decode.time;
+    };
+
     SpeculativeReport rep;
 
     // The draft runs unsharded (it is small); the target keeps TP.
-    rep.draftStepTime = stepTime(draft, sys, opts, 1, 1);
-    rep.verifyTime = stepTime(target, sys, opts, opts.gamma + 1,
-                              opts.tensorParallel);
+    rep.draftStepTime = step(draft, 1, 1);
+    rep.verifyTime = step(target, opts.gamma + 1, opts.tensorParallel);
 
     rep.cycleTime =
         double(opts.gamma) * rep.draftStepTime + rep.verifyTime;
@@ -68,9 +55,8 @@ evaluateSpeculative(const TransformerConfig &target,
 
     rep.tokensPerSecond = rep.expectedTokensPerCycle / rep.cycleTime;
 
-    double target_step =
-        stepTime(target, sys, opts, 1, opts.tensorParallel);
-    rep.baselineTokensPerSecond = 1.0 / target_step;
+    rep.baselineTokensPerSecond =
+        1.0 / step(target, 1, opts.tensorParallel);
     rep.speedup = rep.tokensPerSecond / rep.baselineTokensPerSecond;
     return rep;
 }

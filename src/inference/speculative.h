@@ -7,7 +7,10 @@
  * decoding exploits exactly that headroom — a small draft model
  * proposes gamma tokens, the target model verifies them in ONE
  * parallel pass (weights stream once for gamma+1 tokens). This module
- * predicts the achievable speedup from the same roofline primitives.
+ * predicts the achievable speedup from the plan's decode step: the
+ * draft, verify and plain target steps are each a one-token
+ * plan::lowerDecode plan (1 or gamma+1 queries) at the current
+ * context, folded by plan::foldInference.
  */
 
 #ifndef OPTIMUS_INFERENCE_SPECULATIVE_H

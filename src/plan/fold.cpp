@@ -178,6 +178,63 @@ breakdownField(TrainingBreakdown &t, const std::string &category)
     return nullptr;
 }
 
+/**
+ * Per-identity accumulator of kernel-detail spans: the one fold
+ * behind both kernelAggregates overloads.
+ */
+class KernelFold
+{
+  public:
+    /** Fold @p s (a non-kernel span is ignored) on lane @p lane. */
+    void add(const std::string &lane, const TraceSpan &s)
+    {
+        if (!s.isKernel())
+            return;
+        const std::string key = lane + "/" + s.name;
+        Agg &g = byKey_[key];
+        if (g.a.count == 0) {
+            g.a.key = key;
+            g.a.category = s.category;
+        }
+        ++g.a.count;
+        g.a.time += s.duration;
+        g.a.flops += s.flops;
+        g.a.dramBytes += s.dramBytes();
+        g.a.overhead += s.overhead;
+        g.boundTime[s.bound] += s.duration;
+    }
+
+    /** The aggregates, sorted by key. */
+    std::vector<KernelAggregate> rows()
+    {
+        std::vector<KernelAggregate> out;
+        out.reserve(byKey_.size());
+        for (auto &kv : byKey_) {
+            // A kernel whose bound class varies within the run (e.g. a
+            // decode GEMV flipping DRAM -> L2 as the context grows) is
+            // labeled by its time-dominant class; ties break
+            // lexicographically so the label is deterministic.
+            Agg &g = kv.second;
+            double best = -1.0;
+            for (const auto &bt : g.boundTime)
+                if (bt.second > best) {
+                    best = bt.second;
+                    g.a.bound = bt.first;
+                }
+            out.push_back(std::move(g.a));
+        }
+        return out;
+    }
+
+  private:
+    struct Agg
+    {
+        KernelAggregate a;
+        std::map<std::string, double> boundTime;
+    };
+    std::map<std::string, Agg> byKey_;
+};
+
 } // namespace
 
 FoldedTraining
@@ -240,47 +297,22 @@ foldInference(const EvaluatedPlan &ep, TraceSession *trace)
 std::vector<KernelAggregate>
 kernelAggregates(const EvaluatedPlan &ep)
 {
-    struct Agg
-    {
-        KernelAggregate a;
-        std::map<std::string, double> boundTime;
-    };
-    std::map<std::string, Agg> by_key;
-
-    forEachStepSpan(ep, [&](const std::string &lane, TraceSpan s) {
-        if (!s.isKernel())
-            return;
-        const std::string key = lane + "/" + s.name;
-        Agg &g = by_key[key];
-        if (g.a.count == 0) {
-            g.a.key = key;
-            g.a.category = s.category;
-        }
-        ++g.a.count;
-        g.a.time += s.duration;
-        g.a.flops += s.flops;
-        g.a.dramBytes += s.dramBytes();
-        g.a.overhead += s.overhead;
-        g.boundTime[s.bound] += s.duration;
+    KernelFold fold;
+    forEachStepSpan(ep, [&fold](const std::string &lane,
+                                const TraceSpan &s) {
+        fold.add(lane, s);
     });
+    return fold.rows();
+}
 
-    std::vector<KernelAggregate> out;
-    out.reserve(by_key.size());
-    for (auto &kv : by_key) {
-        // A kernel whose bound class varies within the run (e.g. a
-        // decode GEMV flipping DRAM -> L2 as the context grows) is
-        // labeled by its time-dominant class; ties break
-        // lexicographically so the label is deterministic.
-        Agg &g = kv.second;
-        double best = -1.0;
-        for (const auto &bt : g.boundTime)
-            if (bt.second > best) {
-                best = bt.second;
-                g.a.bound = bt.first;
-            }
-        out.push_back(std::move(g.a));
-    }
-    return out;
+std::vector<KernelAggregate>
+kernelAggregates(const TraceSession &session)
+{
+    KernelFold fold;
+    const std::vector<TraceLane> &lanes = session.lanes();
+    for (const TraceSpan &s : session.spans())
+        fold.add(lanes.at(size_t(s.lane)).name, s);
+    return fold.rows();
 }
 
 } // namespace plan

@@ -5,16 +5,17 @@
  * The paper's core abstraction is a single pipeline — (model, system,
  * mapping) -> per-kernel roofline estimates -> folded time/memory/
  * bound reports — and this module is that pipeline made explicit.
- * `lowerTraining` / `lowerInference` turn a configuration into a flat,
- * deterministic KernelPlan: an ordered list of PlanSteps (compute op
- * lists, collectives with an explicit GroupScope, and synthetic steps
- * for the pipeline bubble and the optimizer), each tagged with a
- * stable identity (lane/name), phase, repeat counts and breakdown
- * category. Decode lowers to one *range step* per op covering every
- * generated token, so a plan's size does not grow with the generation
- * length. `evaluatePlan` maps every step through the existing
- * roofline and collective models, and the folders derive *all*
- * downstream artifacts from that one evaluated stream:
+ * `lowerTraining` / `lowerInference` / `lowerDecode` turn a
+ * configuration into a flat, deterministic KernelPlan: an ordered
+ * list of PlanSteps (compute op lists, collectives with an explicit
+ * GroupScope, and synthetic steps for the pipeline bubble and the
+ * optimizer), each tagged with a stable identity (lane/name), phase,
+ * repeat counts and breakdown category. Decode lowers to one *range
+ * step* per op covering every generated token, so a plan's size does
+ * not grow with the generation length. `evaluatePlan` maps every step
+ * through the existing roofline and collective models, and the
+ * folders derive *all* downstream artifacts from that one evaluated
+ * stream:
  *
  *  - `foldTraining` / `foldInference` produce the TrainingBreakdown /
  *    PhaseReport aggregates and, when a TraceSession is supplied, the
@@ -256,9 +257,21 @@ KernelPlan lowerTraining(const TransformerConfig &cfg, const System &sys,
                          const ParallelConfig &par, long long global_batch,
                          const TrainingOptions &opts);
 
-/** Lower an inference configuration (validates its inputs). */
+/**
+ * Lower an inference configuration (validates its inputs): the
+ * prefill steps followed by the lowerDecode steps.
+ */
 KernelPlan lowerInference(const TransformerConfig &cfg, const System &sys,
                           const InferenceOptions &opts);
+
+/**
+ * Lower only the decode phase of @p opts: generateLength tokens after
+ * a promptLength-token prompt (0 allowed: the first token then runs at
+ * context 1). A one-token plan folds to the decode step that serving
+ * and speculative decoding charge.
+ */
+KernelPlan lowerDecode(const TransformerConfig &cfg, const System &sys,
+                       const InferenceOptions &opts);
 
 // ---- Evaluate --------------------------------------------------------
 
@@ -315,24 +328,36 @@ FoldedInference foldInference(const EvaluatedPlan &ep,
                               TraceSession *trace);
 
 /**
- * Aggregate of every kernel-detail span sharing one "<lane>/<name>"
- * identity — the plan-side source of report::KernelStat rows,
- * produced from the same span stream the trace folders emit.
+ * Aggregate of every kernel-detail span sharing one stable identity:
+ * one RunRecord kernel row (report::KernelStat). The key is
+ * "<lane>/<name>" (e.g. "kernels/fwd/qkT-gemm", "decode/attn-v"),
+ * which is invariant across runs of the same config, so the diff
+ * engine can match kernels between two records.
  */
 struct KernelAggregate
 {
     std::string key;
     std::string category;
-    long long count = 0;
-    double time = 0.0;
-    double flops = 0.0;
-    double dramBytes = 0.0;
-    double overhead = 0.0;
-    std::string bound;  ///< time-dominant bound class
+    long long count = 0;      ///< spans folded into this aggregate
+    double time = 0.0;        ///< summed modeled seconds
+    double flops = 0.0;       ///< summed arithmetic work
+    double dramBytes = 0.0;   ///< summed DRAM traffic
+    double overhead = 0.0;    ///< summed launch overhead
+    /** Time-dominant bound class ("compute", "DRAM", "L2", ...). */
+    std::string bound;
 };
 
-/** Per-identity kernel aggregates (requires a detail evaluation). */
+/**
+ * Per-identity kernel aggregates, sorted by key (requires a detail
+ * evaluation).
+ */
 std::vector<KernelAggregate> kernelAggregates(const EvaluatedPlan &ep);
+
+/**
+ * The same fold over the kernel-detail spans recorded in @p session;
+ * for a traced evaluation it equals the EvaluatedPlan overload.
+ */
+std::vector<KernelAggregate> kernelAggregates(const TraceSession &session);
 
 // ---- Drivers ---------------------------------------------------------
 

@@ -43,27 +43,6 @@ beginRecord(const std::string &kind, const std::string &label,
     return rec;
 }
 
-/** Fill rec.kernels straight from the evaluated plan (no trace). */
-void
-planKernels(RunRecord &rec, const plan::EvaluatedPlan &ep)
-{
-    rec.kernels.clear();
-    std::vector<plan::KernelAggregate> aggs = plan::kernelAggregates(ep);
-    rec.kernels.reserve(aggs.size());
-    for (plan::KernelAggregate &a : aggs) {
-        KernelStat k;
-        k.key = std::move(a.key);
-        k.category = std::move(a.category);
-        k.count = a.count;
-        k.time = a.time;
-        k.flops = a.flops;
-        k.dramBytes = a.dramBytes;
-        k.overhead = a.overhead;
-        k.bound = std::move(a.bound);
-        rec.kernels.push_back(std::move(k));
-    }
-}
-
 } // namespace
 
 void
@@ -126,49 +105,7 @@ fingerprintJson(const JsonValue &config)
 void
 foldTrace(RunRecord &rec, const TraceSession &session)
 {
-    struct Agg
-    {
-        KernelStat stat;
-        std::map<std::string, double> boundTime;
-    };
-    std::map<std::string, Agg> byKey;
-
-    const std::vector<TraceLane> &lanes = session.lanes();
-    for (const TraceSpan &s : session.spans()) {
-        if (!s.isKernel())
-            continue;
-        const std::string key =
-            lanes.at(static_cast<size_t>(s.lane)).name + "/" + s.name;
-        Agg &a = byKey[key];
-        if (a.stat.count == 0) {
-            a.stat.key = key;
-            a.stat.category = s.category;
-        }
-        ++a.stat.count;
-        a.stat.time += s.duration;
-        a.stat.flops += s.flops;
-        a.stat.dramBytes += s.dramBytes();
-        a.stat.overhead += s.overhead;
-        a.boundTime[s.bound] += s.duration;
-    }
-
-    rec.kernels.clear();
-    rec.kernels.reserve(byKey.size());
-    for (auto &kv : byKey) {
-        // A kernel whose bound class varies within the run (e.g. a
-        // decode GEMV flipping DRAM -> L2 as the context grows) is
-        // labeled by its time-dominant class; ties break
-        // lexicographically so the label is deterministic.
-        Agg &a = kv.second;
-        double best = -1.0;
-        for (const auto &bt : a.boundTime)
-            if (bt.second > best) {
-                best = bt.second;
-                a.stat.bound = bt.first;
-            }
-        rec.kernels.push_back(std::move(a.stat));
-    }
-
+    rec.kernels = plan::kernelAggregates(session);
     for (const auto &kv : session.counters())
         rec.counters[kv.first] = kv.second;
 }
@@ -362,7 +299,7 @@ recordTraining(const TransformerConfig &model, const System &sys,
     rec.setMetric("memory/optimizer", rep.memory.optimizer);
     rec.setMetric("memory/activations", rep.memory.activations);
 
-    planKernels(rec, run.plan);
+    rec.kernels = plan::kernelAggregates(run.plan);
     for (const auto &kv : run.plan.plan.counters)
         rec.counters[kv.first] = kv.second;
     rec.counters["train/time-per-batch-s"] = rep.timePerBatch;
@@ -417,7 +354,7 @@ recordInference(const TransformerConfig &model, const System &sys,
     rec.setMetric("memory/weights", rep.weightBytes);
     rec.setMetric("memory/fits", rep.fitsDeviceMemory ? 1.0 : 0.0);
 
-    planKernels(rec, run.plan);
+    rec.kernels = plan::kernelAggregates(run.plan);
     for (const auto &kv : run.plan.plan.counters)
         rec.counters[kv.first] = kv.second;
     return rec;
