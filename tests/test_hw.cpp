@@ -4,6 +4,9 @@
  * networks, systems and vendor presets.
  */
 
+#include <limits>
+#include <string>
+
 #include <gtest/gtest.h>
 
 #include "hw/presets.h"
@@ -70,6 +73,110 @@ TEST(Device, ValidateRejectsBrokenHierarchy)
     d = presets::a100_80gb();
     d.matrixMaxEfficiency = 1.5;
     EXPECT_THROW(d.validate(), ConfigError);
+}
+
+/** what() of the ConfigError @p f throws, or a marker if none. */
+template <class F>
+std::string
+configErrorText(F &&f)
+{
+    try {
+        f();
+    } catch (const ConfigError &e) {
+        return e.what();
+    }
+    return "(no ConfigError)";
+}
+
+/** what() of validating an A100 after @p edit is applied to it. */
+template <class Edit>
+std::string
+deviceError(Edit &&edit)
+{
+    Device d = presets::a100_80gb();
+    edit(d);
+    return configErrorText([&] { d.validate(); });
+}
+
+TEST(Device, ValidateMessagesAreExact)
+{
+    constexpr double nan = std::numeric_limits<double>::quiet_NaN();
+    EXPECT_EQ(deviceError([](Device &d) { d.name.clear(); }),
+              "config error: device needs a name");
+    EXPECT_EQ(deviceError([](Device &d) { d.matrixThroughput.clear(); }),
+              "config error: A100-80GB: needs at least one matrix "
+              "throughput entry");
+    EXPECT_EQ(deviceError([](Device &d) { d.mem.clear(); }),
+              "config error: A100-80GB: needs at least one memory level");
+    EXPECT_EQ(deviceError([](Device &d) {
+                  d.matrixThroughput[Precision::FP16] = 0.0;
+              }),
+              "config error: A100-80GB matrix flops (fp16) must be "
+              "positive, got 0.000000");
+    EXPECT_EQ(deviceError([](Device &d) {
+                  d.vectorThroughput[Precision::BF16] = -1.0;
+              }),
+              "config error: A100-80GB vector flops (bf16) must be "
+              "positive, got -1.000000");
+    EXPECT_EQ(deviceError([](Device &d) { d.mem[1].name.clear(); }),
+              "config error: A100-80GB: memory level needs a name");
+    EXPECT_EQ(deviceError([](Device &d) { d.mem[2].capacity = nan; }),
+              "config error: A100-80GB SMEM capacity must be positive, "
+              "got nan");
+    EXPECT_EQ(deviceError([](Device &d) { d.mem[0].bandwidth = 0.0; }),
+              "config error: A100-80GB DRAM bandwidth must be positive, "
+              "got 0.000000");
+    EXPECT_EQ(deviceError([](Device &d) { d.mem[1].utilization = 1.5; }),
+              "config error: A100-80GB L2 utilization must be in (0,1]");
+    EXPECT_EQ(deviceError([](Device &d) {
+                  d.mem[1].capacity = d.mem[0].capacity * 2;
+              }),
+              "config error: A100-80GB: memory level L2 must be smaller "
+              "than DRAM");
+    EXPECT_EQ(deviceError([](Device &d) { d.matrixMaxEfficiency = 0.0; }),
+              "config error: A100-80GB: matrixMaxEfficiency must be in "
+              "(0,1]");
+    EXPECT_EQ(deviceError([](Device &d) { d.gemmKHalf = nan; }),
+              "config error: A100-80GB: gemmKHalf must be non-negative");
+    EXPECT_EQ(deviceError([](Device &d) { d.gemvDramUtilization = 2.0; }),
+              "config error: A100-80GB: gemvDramUtilization must be in "
+              "(0,1]");
+    EXPECT_EQ(deviceError([](Device &d) { d.kernelLaunchOverhead = -1e-6; }),
+              "config error: A100-80GB: kernelLaunchOverhead must be "
+              "non-negative");
+    // Checks run in order: the first failing field is the one named.
+    EXPECT_EQ(deviceError([](Device &d) {
+                  d.gemmKHalf = -1.0;
+                  d.mem[0].bandwidth = -1.0;
+              }),
+              "config error: A100-80GB DRAM bandwidth must be positive, "
+              "got -1.000000");
+}
+
+TEST(Network, ValidateMessagesAreExact)
+{
+    auto linkError = [](auto edit) {
+        NetworkLink l = presets::nvlink4();
+        edit(l);
+        return configErrorText([&] { l.validate(); });
+    };
+    EXPECT_EQ(linkError([](NetworkLink &l) { l.name.clear(); }),
+              "config error: network link needs a name");
+    EXPECT_EQ(linkError([](NetworkLink &l) { l.bandwidth = 0.0; }),
+              "config error: NVLink4 bandwidth must be positive, got "
+              "0.000000");
+    EXPECT_EQ(linkError([](NetworkLink &l) { l.latency = -1.0; }),
+              "config error: NVLink4: latency must be non-negative");
+    EXPECT_EQ(linkError([](NetworkLink &l) {
+                  l.halfUtilVolume = std::numeric_limits<double>::quiet_NaN();
+              }),
+              "config error: NVLink4: halfUtilVolume must be non-negative");
+    EXPECT_EQ(linkError([](NetworkLink &l) { l.maxUtilization = 1.01; }),
+              "config error: NVLink4: maxUtilization must be in (0,1]");
+    EXPECT_EQ(linkError([](NetworkLink &l) { l.collectiveOverhead = -1.0; }),
+              "config error: NVLink4: collectiveOverhead must be "
+              "non-negative");
+    EXPECT_EQ(linkError([](NetworkLink &) {}), "(no ConfigError)");
 }
 
 TEST(Device, DramMayOutrunCache)

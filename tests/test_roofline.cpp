@@ -4,7 +4,11 @@
  * estimation, GEMV utilization models and stream kernels.
  */
 
+#include <algorithm>
 #include <cmath>
+#include <limits>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -14,6 +18,8 @@
 #include "roofline/stream.h"
 #include "util/error.h"
 #include "util/units.h"
+#include "workload/graph.h"
+#include "workload/presets.h"
 
 namespace optimus {
 namespace {
@@ -224,6 +230,195 @@ TEST(Stream, RejectsNegativeWork)
     Device dev = presets::a100_80gb();
     EXPECT_THROW(estimateStream(dev, "x", -1.0, 0.0, Precision::FP16),
                  ConfigError);
+}
+
+/** what() of the ConfigError @p f throws, or a marker if none. */
+template <class F>
+std::string
+configErrorText(F &&f)
+{
+    try {
+        f();
+    } catch (const ConfigError &e) {
+        return e.what();
+    }
+    return "(no ConfigError)";
+}
+
+TEST(Stream, RejectionMessagesAreExact)
+{
+    Device dev = presets::a100_80gb();
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    auto streamError = [&](double bytes, double flops) {
+        return configErrorText([&] {
+            estimateStream(dev, "residual-add", bytes, flops,
+                           Precision::FP16);
+        });
+    };
+    EXPECT_EQ(streamError(-1.0, 0.0),
+              "config error: residual-add: bytes must be non-negative");
+    EXPECT_EQ(streamError(nan, 0.0),
+              "config error: residual-add: bytes must be non-negative");
+    EXPECT_EQ(streamError(0.0, -1.0),
+              "config error: residual-add: flops must be non-negative");
+    EXPECT_EQ(streamError(0.0, nan),
+              "config error: residual-add: flops must be non-negative");
+    // Bytes are checked before flops.
+    EXPECT_EQ(streamError(nan, nan),
+              "config error: residual-add: bytes must be non-negative");
+    EXPECT_EQ(streamError(0.0, 0.0), "(no ConfigError)");
+}
+
+/** Independent reference for searchTile: the documented enumeration. */
+TileChoice
+referenceTile(const GemmShape &s, double capacity, double fill)
+{
+    auto candidates = [](long long dim) {
+        std::vector<long long> out;
+        for (long long t = 16; t < dim; t *= 2)
+            out.push_back(t);
+        out.push_back(dim);
+        return out;
+    };
+    const double elem = precisionBytes(s.precision);
+    auto traffic = [&](long long tm, long long tn, long long tk) {
+        double a = double(s.m) * double(s.k) *
+                   std::ceil(double(s.n) / double(tn));
+        double b = double(s.k) * double(s.n) *
+                   std::ceil(double(s.m) / double(tm));
+        double c = 2.0 * double(s.m) * double(s.n) *
+                   std::ceil(double(s.k) / double(tk));
+        return elem * (a + b + c);
+    };
+    const double budget = capacity * fill / elem;
+    TileChoice best{1, 1, 1, std::numeric_limits<double>::infinity()};
+    for (long long tm : candidates(s.m)) {
+        for (long long tn : candidates(s.n)) {
+            double remaining = budget - double(tm) * double(tn);
+            if (remaining <= 0.0)
+                continue;
+            long long tk = static_cast<long long>(remaining / (tm + tn));
+            if (tk < 1)
+                continue;
+            tk = std::min(tk, s.k);
+            double t = traffic(tm, tn, tk);
+            if (t < best.traffic)  // strict: the first minimum wins
+                best = {tm, tn, tk, t};
+        }
+    }
+    if (best.traffic == std::numeric_limits<double>::infinity())
+        best = {1, 1, 1, traffic(1, 1, 1)};
+    return best;
+}
+
+TEST(Roofline, TileSearchMatchesBruteForce)
+{
+    struct CacheOff
+    {
+        bool was = tileCacheEnabled();
+        CacheOff() { tileCacheSetEnabled(false); }
+        ~CacheOff() { tileCacheSetEnabled(was); }
+    } off;
+    const long long dims[] = {1, 2, 15, 16, 17, 31, 32, 33, 100, 4096,
+                              4097};
+    const long long ks[] = {1, 33, 128, 4096, 12288};
+    // 2 B holds no fp16 tile at all (the streaming fallback); the
+    // rest span register-file to L2 sizes.
+    const double capacities[] = {2.0, 64.0, 48 * KiB, 1 * MiB,
+                                 40 * MiB};
+    int checked = 0;
+    int fallbacks = 0;
+    for (Precision p : {Precision::FP16, Precision::FP32}) {
+        for (long long m : dims) {
+            for (long long n : dims) {
+                for (long long k : ks) {
+                    for (double cap : capacities) {
+                        GemmShape s{m, n, k, p};
+                        TileChoice want = referenceTile(s, cap, 0.5);
+                        TileChoice got = searchTile(s, cap, 0.5);
+                        ASSERT_EQ(want.tm, got.tm)
+                            << m << "x" << n << "x" << k << " @" << cap;
+                        ASSERT_EQ(want.tn, got.tn)
+                            << m << "x" << n << "x" << k << " @" << cap;
+                        ASSERT_EQ(want.tk, got.tk)
+                            << m << "x" << n << "x" << k << " @" << cap;
+                        ASSERT_EQ(want.traffic, got.traffic)
+                            << m << "x" << n << "x" << k << " @" << cap;
+                        ++checked;
+                        fallbacks += got.tk == 1 && got.tm == 1 &&
+                                     got.tn == 1 && cap == 2.0;
+                    }
+                }
+            }
+        }
+    }
+    EXPECT_EQ(checked, 2 * 11 * 11 * 5 * 5);
+    EXPECT_EQ(fallbacks, 2 * 11 * 11 * 5);
+}
+
+/** evaluateOps as the left fold of combineEstimates, from empty. */
+KernelEstimate
+combinedFold(const Device &dev, const std::vector<Op> &ops,
+             const std::string &label)
+{
+    KernelEstimate total;
+    total.kernel = label;
+    for (const Op &op : ops)
+        total = combineEstimates(label, total, evaluateOp(dev, op));
+    return total;
+}
+
+void
+expectIdentical(const KernelEstimate &want, const KernelEstimate &got)
+{
+    EXPECT_EQ(want.kernel, got.kernel);
+    EXPECT_EQ(want.flops, got.flops);
+    ASSERT_EQ(want.bytesPerLevel.size(), got.bytesPerLevel.size());
+    ASSERT_EQ(want.memTimePerLevel.size(), got.memTimePerLevel.size());
+    for (size_t i = 0; i < want.bytesPerLevel.size(); ++i) {
+        EXPECT_EQ(want.bytesPerLevel[i], got.bytesPerLevel[i]) << i;
+        EXPECT_EQ(want.memTimePerLevel[i], got.memTimePerLevel[i]) << i;
+    }
+    EXPECT_EQ(want.computeTime, got.computeTime);
+    EXPECT_EQ(want.overhead, got.overhead);
+    EXPECT_EQ(want.time, got.time);
+    EXPECT_EQ(want.boundLevel, got.boundLevel);
+}
+
+TEST(Roofline, EvaluateOpsIsTheCombinedFold)
+{
+    LayerGraphParams train;
+    train.batch = 1;
+    train.seq = 2048;
+    train.tensorParallel = 8;
+    train.sequenceParallel = true;
+    LayerGraphParams flash = train;
+    flash.flashAttention = true;
+    const TransformerConfig gpt = models::gpt175b();
+    const TransformerConfig llama = models::llama2_70b();
+    const struct
+    {
+        const char *label;
+        std::vector<Op> ops;
+    } lists[] = {
+        {"gpt-175b forward", layerForwardOps(gpt, train)},
+        {"gpt-175b backward", layerBackwardOps(gpt, train)},
+        {"gpt-175b flash forward", layerForwardOps(gpt, flash)},
+        {"gpt-175b flash backward", layerBackwardOps(gpt, flash)},
+        {"llama2-70b decode",
+         decodeLayerOps(llama, 16, 1500, 8, Precision::FP16)},
+        {"llama2-70b decode fp8 kv",
+         decodeLayerOps(llama, 64, 4097, 8, Precision::FP16,
+                        Precision::FP8)},
+    };
+    for (const Device &dev : {presets::a100_80gb(), presets::b200()}) {
+        for (const auto &list : lists) {
+            SCOPED_TRACE(dev.name + " " + list.label);
+            ASSERT_GT(list.ops.size(), 1u);
+            expectIdentical(combinedFold(dev, list.ops, list.label),
+                            evaluateOps(dev, list.ops, list.label));
+        }
+    }
 }
 
 TEST(Estimate, CombinePreservesTotals)

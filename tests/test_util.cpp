@@ -5,6 +5,7 @@
 
 #include <cmath>
 #include <cstdio>
+#include <limits>
 #include <random>
 #include <sstream>
 #include <string>
@@ -97,6 +98,41 @@ TEST(Error, CheckPositive)
     EXPECT_THROW(checkPositive(-2.0, "x"), ConfigError);
     EXPECT_THROW(checkPositive(0LL, "n"), ConfigError);
     EXPECT_NO_THROW(checkPositive(3LL, "n"));
+}
+
+/** what() of the ConfigError @p f throws, or a marker if none. */
+template <class F>
+std::string
+configErrorText(F &&f)
+{
+    try {
+        f();
+    } catch (const ConfigError &e) {
+        return e.what();
+    }
+    return "(no ConfigError)";
+}
+
+TEST(Error, CheckPositiveMessagesAreExact)
+{
+    EXPECT_EQ(configErrorText([] { checkPositive(0.0, "gemm x"); }),
+              "config error: gemm x must be positive, got 0.000000");
+    EXPECT_EQ(configErrorText([] { checkPositive(-2.5, "x"); }),
+              "config error: x must be positive, got -2.500000");
+    // A NaN is not positive: the check is !(x > 0), not x <= 0.
+    EXPECT_EQ(configErrorText([] {
+                  checkPositive(std::numeric_limits<double>::quiet_NaN(),
+                                "tile search capacity");
+              }),
+              "config error: tile search capacity must be positive, "
+              "got nan");
+    EXPECT_EQ(configErrorText([] { checkPositive(0LL, "gemm m"); }),
+              "config error: gemm m must be positive, got 0");
+    EXPECT_EQ(configErrorText([] { checkPositive(-7LL, "batch"); }),
+              "config error: batch must be positive, got -7");
+    const std::string name = "runtime name";
+    EXPECT_EQ(configErrorText([&] { checkPositive(0LL, name); }),
+              "config error: runtime name must be positive, got 0");
 }
 
 TEST(Table, RowBuilderAndAccess)
