@@ -15,6 +15,7 @@
 #ifndef OPTIMUS_HW_DEVICE_H
 #define OPTIMUS_HW_DEVICE_H
 
+#include <cstddef>
 #include <map>
 #include <string>
 #include <vector>
@@ -22,6 +23,13 @@
 #include "hw/precision.h"
 
 namespace optimus {
+
+/**
+ * Most memory levels a device may have. Every preset has three (DRAM,
+ * L2/CMEM, SMEM/VMEM); the bound lets kernel estimates keep their
+ * per-level values inline (LevelArray in roofline/estimate.h).
+ */
+inline constexpr std::size_t kMaxMemoryLevels = 4;
 
 /**
  * One level of the on/off-chip memory hierarchy.
@@ -50,7 +58,10 @@ struct Device
     /** Vector-engine (CUDA core / VPU) peak throughput per precision. */
     std::map<Precision, double> vectorThroughput;
 
-    /** Memory hierarchy, index 0 = DRAM, last = innermost scratch. */
+    /**
+     * Memory hierarchy, index 0 = DRAM, last = innermost scratch; at
+     * most kMaxMemoryLevels levels.
+     */
     std::vector<MemoryLevel> mem;
 
     /**

@@ -18,6 +18,7 @@
 #include "plan/plan.h"
 
 #include <algorithm>
+#include <array>
 
 namespace optimus {
 namespace plan {
@@ -113,7 +114,8 @@ evaluateSpanRange(const Device &dev, const PlanStep &st, bool detail,
     const double repeats =
         double(st.repeatMicrobatch) * double(st.repeatLayer);
     Op op = st.parts[0].ops[0];
-    std::vector<double> levelTime(dev.mem.size() + 1, 0.0);
+    // Time bound by each resource: compute, then each memory level.
+    std::array<double, kMaxMemoryLevels + 1> levelTime{};
     double time = 0.0;
     if (detail)
         ev.tokenEsts.reserve(size_t(st.tokens));
@@ -141,10 +143,11 @@ evaluateSpanRange(const Device &dev, const PlanStep &st, bool detail,
     ev.overhead *= repeats;
     ev.memoryTime *= repeats;
     // The lowest level wins a tie, so the label is deterministic.
-    ev.boundLevel = int(std::max_element(levelTime.begin(),
-                                         levelTime.end()) -
-                        levelTime.begin()) -
-                    1;
+    ev.boundLevel =
+        int(std::max_element(levelTime.begin(),
+                             levelTime.begin() + dev.mem.size() + 1) -
+            levelTime.begin()) -
+        1;
     ev.category =
         bucketCategory(st.phase, boundBucket(op, ev.boundLevel));
 }

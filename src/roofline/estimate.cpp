@@ -1,9 +1,5 @@
 #include "roofline/estimate.h"
 
-#include <algorithm>
-
-#include "util/error.h"
-
 namespace optimus {
 
 std::string
@@ -14,20 +10,50 @@ boundLevelName(const Device &dev, int bound_level)
     return dev.mem.at(static_cast<size_t>(bound_level)).name;
 }
 
+int
+bindingLevel(double compute_time, const LevelArray &mem_times)
+{
+    double worst = compute_time;
+    int bound = -1;
+    for (size_t i = 0; i < mem_times.size(); ++i) {
+        if (mem_times[i] > worst) {
+            worst = mem_times[i];
+            bound = static_cast<int>(i);
+        }
+    }
+    return bound;
+}
+
 void
 finalizeEstimate(KernelEstimate &est)
 {
     checkConfig(est.bytesPerLevel.size() == est.memTimePerLevel.size(),
                 "estimate has inconsistent per-level vectors");
-    double worst = est.computeTime;
-    est.boundLevel = -1;
-    for (size_t i = 0; i < est.memTimePerLevel.size(); ++i) {
-        if (est.memTimePerLevel[i] > worst) {
-            worst = est.memTimePerLevel[i];
-            est.boundLevel = static_cast<int>(i);
-        }
-    }
+    est.boundLevel = bindingLevel(est.computeTime, est.memTimePerLevel);
+    const double worst =
+        est.boundLevel < 0
+            ? est.computeTime
+            : est.memTimePerLevel[static_cast<size_t>(est.boundLevel)];
     est.time = worst + est.overhead;
+}
+
+void
+accumulateEstimate(KernelEstimate &total, const KernelEstimate &part)
+{
+    const size_t levels = part.bytesPerLevel.size();
+    if (total.bytesPerLevel.size() < levels) {
+        total.bytesPerLevel.resize(levels);
+        total.memTimePerLevel.resize(levels);
+    }
+    total.flops += part.flops;
+    for (size_t i = 0; i < levels; ++i) {
+        total.bytesPerLevel[i] += part.bytesPerLevel[i];
+        total.memTimePerLevel[i] += part.memTimePerLevel[i];
+    }
+    total.computeTime += part.computeTime;
+    total.overhead += part.overhead;
+    // Aggregate time is additive (kernels run back to back).
+    total.time += part.time;
 }
 
 KernelEstimate
@@ -36,34 +62,10 @@ combineEstimates(const std::string &label, const KernelEstimate &a,
 {
     KernelEstimate out;
     out.kernel = label;
-    out.flops = a.flops + b.flops;
-    size_t levels = std::max(a.bytesPerLevel.size(),
-                             b.bytesPerLevel.size());
-    out.bytesPerLevel.assign(levels, 0.0);
-    out.memTimePerLevel.assign(levels, 0.0);
-    for (size_t i = 0; i < levels; ++i) {
-        if (i < a.bytesPerLevel.size()) {
-            out.bytesPerLevel[i] += a.bytesPerLevel[i];
-            out.memTimePerLevel[i] += a.memTimePerLevel[i];
-        }
-        if (i < b.bytesPerLevel.size()) {
-            out.bytesPerLevel[i] += b.bytesPerLevel[i];
-            out.memTimePerLevel[i] += b.memTimePerLevel[i];
-        }
-    }
-    out.computeTime = a.computeTime + b.computeTime;
-    out.overhead = a.overhead + b.overhead;
-    // Aggregate time is additive (kernels run back to back); the bound
-    // label reports the largest aggregated component.
-    out.time = a.time + b.time;
-    double worst = out.computeTime;
-    out.boundLevel = -1;
-    for (size_t i = 0; i < out.memTimePerLevel.size(); ++i) {
-        if (out.memTimePerLevel[i] > worst) {
-            worst = out.memTimePerLevel[i];
-            out.boundLevel = static_cast<int>(i);
-        }
-    }
+    accumulateEstimate(out, a);
+    accumulateEstimate(out, b);
+    // The bound label reports the largest aggregated component.
+    out.boundLevel = bindingLevel(out.computeTime, out.memTimePerLevel);
     return out;
 }
 

@@ -9,7 +9,6 @@
 #include <mutex>
 #include <shared_mutex>
 #include <unordered_map>
-#include <vector>
 
 #include "util/error.h"
 
@@ -37,15 +36,23 @@ ceilDiv(double a, double b)
     return std::ceil(a / b);
 }
 
-/** Candidate tile edges: powers of two up to dim, plus dim itself. */
-std::vector<long long>
-tileCandidates(long long dim)
+// Candidate tile edges for a dim: the powers of two from 16 below dim,
+// then dim itself, walked in that order without building a list.
+
+/** First candidate tile edge for @p dim. */
+long long
+firstTile(long long dim)
 {
-    std::vector<long long> out;
-    for (long long t = 16; t < dim; t *= 2)
-        out.push_back(t);
-    out.push_back(dim);
-    return out;
+    return std::min(16LL, dim);
+}
+
+/** The candidate after @p t for @p dim; 0 once dim itself was walked. */
+long long
+nextTile(long long t, long long dim)
+{
+    if (t == dim)
+        return 0;
+    return t * 2 < dim ? t * 2 : dim;
 }
 
 /**
@@ -187,8 +194,10 @@ searchTile(const GemmShape &shape, double capacity_bytes,
     TileChoice best;
     best.traffic = std::numeric_limits<double>::infinity();
 
-    for (long long tm : tileCandidates(shape.m)) {
-        for (long long tn : tileCandidates(shape.n)) {
+    for (long long tm = firstTile(shape.m); tm != 0;
+         tm = nextTile(tm, shape.m)) {
+        for (long long tn = firstTile(shape.n); tn != 0;
+             tn = nextTile(tn, shape.n)) {
             // Reserve room for the output tile, then give the rest to
             // the k extent of the A and B tiles.
             double remaining = budget - double(tm) * double(tn);
@@ -320,14 +329,7 @@ estimateGemm(const Device &dev, const GemmShape &shape,
         double cls_compute =
             est.flops / (matrix_rate * dev.matrixMaxEfficiency *
                          shapeEfficiency(shape));
-        double worst = cls_compute;
-        est.boundLevel = -1;
-        for (size_t i = 0; i < est.memTimePerLevel.size(); ++i) {
-            if (est.memTimePerLevel[i] > worst) {
-                worst = est.memTimePerLevel[i];
-                est.boundLevel = static_cast<int>(i);
-            }
-        }
+        est.boundLevel = bindingLevel(cls_compute, est.memTimePerLevel);
     }
     return est;
 }

@@ -149,7 +149,8 @@ kernelSpan(const Device &dev, const std::string &name,
     s.category = category;
     s.duration = est.time;
     s.flops = est.flops;
-    s.bytesPerLevel = est.bytesPerLevel;
+    s.bytesPerLevel.assign(est.bytesPerLevel.begin(),
+                           est.bytesPerLevel.end());
     s.overhead = est.overhead;
     s.bound = boundLevelName(dev, est.boundLevel);
     return s;

@@ -3,19 +3,17 @@
 namespace optimus {
 
 void
-checkPositive(double value, const std::string &name)
+throwNotPositive(double value, std::string_view name)
 {
-    if (!(value > 0.0))
-        throw ConfigError(name + " must be positive, got " +
-                          std::to_string(value));
+    throw ConfigError(std::string(name) + " must be positive, got " +
+                      std::to_string(value));
 }
 
 void
-checkPositive(long long value, const std::string &name)
+throwNotPositive(long long value, std::string_view name)
 {
-    if (value <= 0)
-        throw ConfigError(name + " must be positive, got " +
-                          std::to_string(value));
+    throw ConfigError(std::string(name) + " must be positive, got " +
+                      std::to_string(value));
 }
 
 } // namespace optimus

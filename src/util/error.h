@@ -48,11 +48,28 @@ checkConfig(bool condition, std::string_view message)
         throw ConfigError(std::string(message));
 }
 
-/** Throw ConfigError unless @p value is strictly positive. */
-void checkPositive(double value, const std::string &name);
+/** Throw ConfigError "<name> must be positive, got <value>". */
+[[noreturn]] void throwNotPositive(double value, std::string_view name);
+[[noreturn]] void throwNotPositive(long long value, std::string_view name);
+
+/**
+ * Throw ConfigError unless @p value is strictly positive (a NaN is
+ * not). The message is built only when the check fails.
+ */
+inline void
+checkPositive(double value, std::string_view name)
+{
+    if (!(value > 0.0))
+        throwNotPositive(value, name);
+}
 
 /** Throw ConfigError unless @p value is a positive integer. */
-void checkPositive(long long value, const std::string &name);
+inline void
+checkPositive(long long value, std::string_view name)
+{
+    if (value <= 0)
+        throwNotPositive(value, name);
+}
 
 } // namespace optimus
 

@@ -135,8 +135,8 @@ layerForwardOps(const TransformerConfig &cfg, const LayerGraphParams &p)
     checkPositive(p.seq, "seq");
     checkPositive(p.tensorParallel, "tensorParallel");
     checkPositive(p.contextParallel, "contextParallel");
-    checkConfig(cfg.numHeads % p.tensorParallel == 0,
-                cfg.name + ": heads must divide by TP degree");
+    if (cfg.numHeads % p.tensorParallel != 0)
+        throw ConfigError(cfg.name + ": heads must divide by TP degree");
     checkConfig(p.seq % p.contextParallel == 0,
                 "sequence must divide by the CP degree");
     checkConfig(p.contextParallel == 1 || p.flashAttention,
@@ -494,12 +494,16 @@ KernelEstimate
 evaluateOps(const Device &dev, const std::vector<Op> &ops,
             const std::string &label)
 {
+    // Fold in place and pick the bound once, from the sums: the same
+    // result as a left fold of combineEstimates, without a new
+    // estimate per op.
     KernelEstimate total;
     total.kernel = label;
     total.bytesPerLevel.assign(dev.mem.size(), 0.0);
     total.memTimePerLevel.assign(dev.mem.size(), 0.0);
     for (const Op &op : ops)
-        total = combineEstimates(label, total, evaluateOp(dev, op));
+        accumulateEstimate(total, evaluateOp(dev, op));
+    total.boundLevel = bindingLevel(total.computeTime, total.memTimePerLevel);
     return total;
 }
 

@@ -1,0 +1,190 @@
+/**
+ * @file
+ * Allocation regression gate for the evaluation hot path.
+ *
+ * This executable replaces the global operator new/delete family with
+ * counting versions, so it must stay a test binary of its own. Heap
+ * allocation counts are deterministic for a given input, which makes
+ * them a machine-independent gate on the cost of the success path:
+ * config checks, per-op roofline estimates and the tile search must
+ * not touch the heap when nothing fails.
+ */
+
+#include <atomic>
+#include <cstddef>
+#include <cstdlib>
+#include <new>
+#include <string>
+#include <vector>
+
+#include <gtest/gtest.h>
+
+#include "config/serialize.h"
+#include "hw/presets.h"
+#include "roofline/gemm.h"
+#include "training/trainer.h"
+#include "workload/graph.h"
+#include "workload/presets.h"
+
+namespace {
+
+std::atomic<long long> g_allocations{0};
+
+void *
+countedAlloc(std::size_t size)
+{
+    g_allocations.fetch_add(1, std::memory_order_relaxed);
+    if (void *p = std::malloc(size == 0 ? 1 : size))
+        return p;
+    throw std::bad_alloc();
+}
+
+void *
+countedAlignedAlloc(std::size_t size, std::align_val_t align)
+{
+    g_allocations.fetch_add(1, std::memory_order_relaxed);
+    void *p = nullptr;
+    std::size_t a = static_cast<std::size_t>(align);
+    if (a < sizeof(void *))
+        a = sizeof(void *);
+    if (posix_memalign(&p, a, size == 0 ? 1 : size) != 0)
+        throw std::bad_alloc();
+    return p;
+}
+
+} // namespace
+
+void *operator new(std::size_t size) { return countedAlloc(size); }
+void *operator new[](std::size_t size) { return countedAlloc(size); }
+
+void *
+operator new(std::size_t size, const std::nothrow_t &) noexcept
+{
+    try {
+        return countedAlloc(size);
+    } catch (...) {
+        return nullptr;
+    }
+}
+
+void *
+operator new[](std::size_t size, const std::nothrow_t &) noexcept
+{
+    try {
+        return countedAlloc(size);
+    } catch (...) {
+        return nullptr;
+    }
+}
+
+void *
+operator new(std::size_t size, std::align_val_t align)
+{
+    return countedAlignedAlloc(size, align);
+}
+
+void *
+operator new[](std::size_t size, std::align_val_t align)
+{
+    return countedAlignedAlloc(size, align);
+}
+
+void operator delete(void *p) noexcept { std::free(p); }
+void operator delete[](void *p) noexcept { std::free(p); }
+void operator delete(void *p, std::size_t) noexcept { std::free(p); }
+void operator delete[](void *p, std::size_t) noexcept { std::free(p); }
+void operator delete(void *p, std::align_val_t) noexcept { std::free(p); }
+void operator delete[](void *p, std::align_val_t) noexcept { std::free(p); }
+
+void
+operator delete(void *p, std::size_t, std::align_val_t) noexcept
+{
+    std::free(p);
+}
+
+void
+operator delete[](void *p, std::size_t, std::align_val_t) noexcept
+{
+    std::free(p);
+}
+
+void
+operator delete(void *p, const std::nothrow_t &) noexcept
+{
+    std::free(p);
+}
+
+void
+operator delete[](void *p, const std::nothrow_t &) noexcept
+{
+    std::free(p);
+}
+
+namespace optimus {
+namespace {
+
+/** Heap allocations made while running @p f. */
+template <class F>
+long long
+allocationsOf(F &&f)
+{
+    const long long before = g_allocations.load(std::memory_order_relaxed);
+    f();
+    return g_allocations.load(std::memory_order_relaxed) - before;
+}
+
+TEST(Alloc, CounterSeesTheHeap)
+{
+    // Guards the gate itself: if the replacement were not linked in,
+    // every count below would read 0 and prove nothing.
+    EXPECT_GE(allocationsOf([] {
+                  auto *p = new std::vector<double>(8);
+                  delete p;
+              }),
+              2);
+}
+
+TEST(Alloc, SystemValidateOnPresetsIsFree)
+{
+    for (const std::string &name : config::systemPresetNames()) {
+        const System sys = config::systemPreset(name, 2);
+        EXPECT_EQ(allocationsOf([&] { sys.validate(); }), 0) << name;
+    }
+}
+
+TEST(Alloc, EvaluateOpOnWarmTileCacheIsFree)
+{
+    const Device dev = presets::a100_80gb();
+    Op op;
+    op.name = "fc1";  // short enough for the small-string buffer
+    op.kind = OpKind::Gemm;
+    op.gemm = {2048, 6144, 12288, Precision::FP16};
+    op.count = 2;
+    evaluateOp(dev, op);  // fills the tile cache
+    KernelEstimate est;
+    EXPECT_EQ(allocationsOf([&] { est = evaluateOp(dev, op); }), 0);
+    EXPECT_GT(est.time, 0.0);
+}
+
+TEST(Alloc, TrainingEvaluationStaysUnderBound)
+{
+    const TransformerConfig model = models::gpt175b();
+    const System sys = presets::dgxA100(8);
+    ParallelConfig par;
+    par.tensorParallel = 8;
+    par.pipelineParallel = 8;
+    par.microbatchSize = 1;
+    const TrainingOptions opts;
+    evaluateTraining(model, sys, par, 64, opts);  // warm the tile cache
+    const long long n = allocationsOf(
+        [&] { evaluateTraining(model, sys, par, 64, opts); });
+    // 509 allocations per call while checks built their messages up
+    // front and evaluateOps built a heap-backed estimate per op; 86
+    // since. What remains is the lowered plan itself (op names, step
+    // and part vectors) and the folded report.
+    EXPECT_LE(n, 90);
+    RecordProperty("allocations", static_cast<int>(n));
+}
+
+} // namespace
+} // namespace optimus

@@ -179,6 +179,18 @@ TEST(Network, ValidateMessagesAreExact)
     EXPECT_EQ(linkError([](NetworkLink &) {}), "(no ConfigError)");
 }
 
+TEST(Device, ValidateRejectsTooManyMemoryLevels)
+{
+    Device d = presets::a100_80gb();
+    d.mem.push_back({"REG", 256 * KiB, 100 * TBps, 0.8});
+    ASSERT_EQ(d.mem.size(), kMaxMemoryLevels);
+    EXPECT_NO_THROW(d.validate());
+    d.mem.push_back({"ACC", 64 * KiB, 200 * TBps, 0.8});
+    EXPECT_EQ(configErrorText([&] { d.validate(); }),
+              "config error: A100-80GB: at most 4 memory levels are "
+              "supported, got 5");
+}
+
 TEST(Device, DramMayOutrunCache)
 {
     // Fig. 9 regime: HBMX DRAM faster than the A100 L2 must validate.

@@ -7,6 +7,7 @@
 
 #include <cmath>
 #include <set>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -452,6 +453,24 @@ TEST(LintSystem, Cfg019StructuralErrors)
     EXPECT_TRUE(r.has(lint::kRuleSystemStructure));
 
     EXPECT_TRUE(lint::lintSystem(oneNode()).empty());
+}
+
+TEST(LintSystem, Cfg019TooManyMemoryLevels)
+{
+    // Kernel estimates hold at most kMaxMemoryLevels levels inline; a
+    // deeper hierarchy is a structural error, not a crash.
+    System sys = oneNode();
+    sys.device.mem.push_back({"REG", 256 * KiB, 100 * TBps, 0.8});
+    sys.device.mem.push_back({"ACC", 64 * KiB, 200 * TBps, 0.8});
+    ASSERT_EQ(sys.device.mem.size(), 5u);
+    LintReport r = lint::lintSystem(sys);
+    EXPECT_TRUE(r.has(lint::kRuleSystemStructure));
+    EXPECT_NE(r.joinedMessages().find("at most 4 memory levels"),
+              std::string::npos)
+        << r.joinedMessages();
+
+    sys.device.mem.pop_back();
+    EXPECT_TRUE(lint::lintSystem(sys).empty());
 }
 
 TEST(LintSystem, Unit004SuspiciousLinkMagnitudeWarns)

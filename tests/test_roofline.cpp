@@ -421,6 +421,22 @@ TEST(Roofline, EvaluateOpsIsTheCombinedFold)
     }
 }
 
+TEST(Roofline, TooDeepHierarchyIsAConfigError)
+{
+    // Estimates keep per-level values inline; a device that skipped
+    // Device::validate with more levels than that must not overrun.
+    Device dev = presets::a100_80gb();
+    while (dev.mem.size() <= kMaxMemoryLevels) {
+        MemoryLevel inner = dev.mem.back();
+        inner.capacity /= 4;
+        dev.mem.push_back(inner);
+    }
+    EXPECT_THROW(estimateGemm(dev, {512, 512, 512, Precision::FP16}),
+                 ConfigError);
+    EXPECT_THROW(estimateSoftmax(dev, 1024, 1024, Precision::FP16),
+                 ConfigError);
+}
+
 TEST(Estimate, CombinePreservesTotals)
 {
     Device dev = presets::a100_80gb();

@@ -143,13 +143,18 @@ resolveInferenceOptions(const Args &args, const JsonValue &cfg)
     return opts;
 }
 
+/** "infer" if the config has an inference section, else "train". */
+std::string
+configMode(const JsonValue &cfg)
+{
+    return (cfg.isObject() && cfg.has("inference")) ? "infer" : "train";
+}
+
 /** "infer" or "train": --mode, else what the config's sections imply. */
 std::string
 resolveMode(const Args &args, const JsonValue &cfg)
 {
-    return args.get("mode", (cfg.isObject() && cfg.has("inference"))
-                                ? "infer"
-                                : "train");
+    return args.get("mode", configMode(cfg));
 }
 
 /** One single-point training or inference evaluation to run. */
@@ -683,8 +688,9 @@ struct DseSetup
     JsonValue objectiveConfig;
 };
 
+/** The DSE problem of @p args, with a "train" or "infer" objective. */
 DseSetup
-resolveDseSetup(const Args &args)
+resolveDseSetup(const Args &args, const std::string &mode)
 {
     DseSetup s;
     s.tech.node = logicNode(args.get("node", "N5"));
@@ -693,7 +699,6 @@ resolveDseSetup(const Args &args)
     s.tech.powerBudget = args.getNumber("power", s.tech.powerBudget);
 
     const int gpus = static_cast<int>(args.getInt("gpus-per-node", 8));
-    std::string mode = args.get("mode", "train");
     TransformerConfig model = config::modelPreset(args.get(
         "model", mode == "infer" ? "llama2-13b" : "gpt-7b"));
     s.objectiveConfig = JsonValue::object();
@@ -757,7 +762,7 @@ resolveDseSetup(const Args &args)
 int
 cmdDse(const Args &args)
 {
-    DseSetup setup = resolveDseSetup(args);
+    DseSetup setup = resolveDseSetup(args, args.get("mode", "train"));
     TechConfig &tech = setup.tech;
     DeviceObjective &objective = setup.objective;
     std::string &label = setup.label;
@@ -834,7 +839,9 @@ cmdRecord(const Args &args)
             model, sys, batch, opts,
             args.get("label", model.name + " planner"));
     } else if (mode == "dse") {
-        DseSetup setup = resolveDseSetup(args);
+        // --mode already says "dse" here; the objective kind comes
+        // from the config's sections.
+        DseSetup setup = resolveDseSetup(args, configMode(cfg));
         rec = report::recordDse(setup.tech, setup.objective,
                                 setup.dopts, setup.objectiveConfig,
                                 args.get("label", setup.label));
