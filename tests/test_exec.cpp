@@ -19,6 +19,7 @@
 #include "dse/search.h"
 #include "exec/exec.h"
 #include "hw/presets.h"
+#include "inference/engine.h"
 #include "planner/planner.h"
 #include "roofline/gemm.h"
 #include "tech/dram.h"
@@ -180,6 +181,48 @@ TEST(TileCache, ConcurrentLookupsAgree)
         EXPECT_DOUBLE_EQ(t.traffic, serial.traffic);
     }
     EXPECT_EQ(tileCacheStats().entries, 1u);
+}
+
+/** Llama-2-70B on one DGX-H100 node, tp8, 512 prompt tokens. */
+InferenceReport
+llama70bInference(long long generate)
+{
+    InferenceOptions opts;
+    opts.tensorParallel = 8;
+    opts.promptLength = 512;
+    opts.generateLength = generate;
+    return evaluateInference(models::llama2_70b(), presets::dgxH100(1),
+                             opts);
+}
+
+void
+expectSamePhase(const PhaseReport &want, const PhaseReport &got)
+{
+    EXPECT_EQ(want.time, got.time);
+    EXPECT_EQ(want.computeBoundGemmTime, got.computeBoundGemmTime);
+    EXPECT_EQ(want.memoryBoundGemmTime, got.memoryBoundGemmTime);
+    EXPECT_EQ(want.otherKernelTime, got.otherKernelTime);
+    EXPECT_EQ(want.commTime, got.commTime);
+    EXPECT_EQ(want.overheadTime, got.overheadTime);
+    EXPECT_EQ(want.memoryTime, got.memoryTime);
+}
+
+TEST(TileCache, DecodeIsIndependentOfTheMemo)
+{
+    tileCacheClear();
+    llama70bInference(256);
+    const InferenceReport warm = llama70bInference(256);
+    tileCacheClear();
+    const InferenceReport cleared = llama70bInference(256);
+    tileCacheSetEnabled(false);
+    const InferenceReport disabled = llama70bInference(256);
+    tileCacheSetEnabled(true);
+    for (const InferenceReport *r : {&cleared, &disabled}) {
+        expectSamePhase(warm.prefill, r->prefill);
+        expectSamePhase(warm.decode, r->decode);
+        EXPECT_EQ(warm.totalLatency, r->totalLatency);
+    }
+    EXPECT_GT(warm.decode.time, 0.0);
 }
 
 std::vector<TrainingPlan>

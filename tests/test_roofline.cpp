@@ -354,6 +354,67 @@ TEST(Roofline, TileSearchMatchesBruteForce)
     }
     EXPECT_EQ(checked, 2 * 11 * 11 * 5 * 5);
     EXPECT_EQ(fallbacks, 2 * 11 * 11 * 5);
+
+    // Capacities at which tiles stop fitting part way through the
+    // walk. A (tm, tn) tile fits when the budget (capacity * fill /
+    // elem, so capacity / 4 elements for fp16 at fill 0.5) holds the
+    // tm x tn output tile plus one k step of A and B (tm + tn).
+    auto fits = [](long long tm, long long tn, double cap) {
+        double remaining = cap / 4.0 - double(tm) * double(tn);
+        return remaining >= double(tm + tn);
+    };
+    // 6000 B: the tm = 16 row fits tn = 16, 32 and 64, not 128; the
+    // tm = 64 row fits only tn = 16; no tm = 128 tile fits.
+    EXPECT_TRUE(fits(16, 64, 6000.0));
+    EXPECT_FALSE(fits(16, 128, 6000.0));
+    EXPECT_TRUE(fits(64, 16, 6000.0));
+    EXPECT_FALSE(fits(64, 32, 6000.0));
+    EXPECT_FALSE(fits(128, 16, 6000.0));
+    // 1600 B: only the first row fits (both columns of n = 17, only
+    // the first column of n = 4097).
+    EXPECT_TRUE(fits(16, 17, 1600.0));
+    EXPECT_TRUE(fits(16, 16, 1600.0));
+    EXPECT_FALSE(fits(16, 32, 1600.0));
+    EXPECT_FALSE(fits(32, 16, 1600.0));
+    // Shared-memory capacities against 1M-wide outputs: the walk runs
+    // out of fitting tiles long before the last of 17 candidates.
+    EXPECT_TRUE(fits(2048, 16, 228 * KiB));
+    EXPECT_FALSE(fits(4096, 16, 228 * KiB));
+    EXPECT_FALSE(fits(1024, 16, 48 * KiB));
+    const long long big = 1LL << 20;
+    struct PartialFit
+    {
+        long long m;
+        long long n;
+        double cap;
+    };
+    const PartialFit partial[] = {
+        {4097, 4097, 6000.0}, {100, 4097, 6000.0},
+        {4097, 100, 6000.0},  {4097, 17, 1600.0},
+        {17, 4097, 1600.0},   {4097, 4097, 1600.0},
+        {big, big, 48 * KiB}, {big, big, 228 * KiB},
+        {big, 4097, 228 * KiB}, {33, big, 228 * KiB},
+    };
+    int partial_checked = 0;
+    for (Precision p : {Precision::FP16, Precision::FP32}) {
+        for (const PartialFit &c : partial) {
+            for (long long k : {1LL, 128LL, 8192LL}) {
+                GemmShape s{c.m, c.n, k, p};
+                TileChoice want = referenceTile(s, c.cap, 0.5);
+                TileChoice got = searchTile(s, c.cap, 0.5);
+                ASSERT_EQ(want.tm, got.tm)
+                    << c.m << "x" << c.n << "x" << k << " @" << c.cap;
+                ASSERT_EQ(want.tn, got.tn)
+                    << c.m << "x" << c.n << "x" << k << " @" << c.cap;
+                ASSERT_EQ(want.tk, got.tk)
+                    << c.m << "x" << c.n << "x" << k << " @" << c.cap;
+                ASSERT_EQ(want.traffic, got.traffic)
+                    << c.m << "x" << c.n << "x" << k << " @" << c.cap;
+                ++partial_checked;
+            }
+        }
+    }
+    EXPECT_EQ(partial_checked, 2 * 10 * 3);
 }
 
 /** evaluateOps as the left fold of combineEstimates, from empty. */
