@@ -427,6 +427,22 @@ writeSweepSpeedupReport()
         plan::lowerInference(models::llama2_13b(), infer_sys, {}),
         infer_sys);
 
+    // Tile-cache entries one inference evaluation adds to a cleared
+    // cache, at the default generation length and at 8x it. Per-token
+    // attention shapes skip the memo, so the two must be equal: a
+    // memo that grows with the generation length holds keys no later
+    // call reads.
+    auto infer_entries = [&](long long generate) {
+        InferenceOptions iopts;
+        iopts.generateLength = generate;
+        tileCacheClear();
+        evaluateInference(models::llama2_13b(), infer_sys, iopts);
+        return double(tileCacheStats().entries);
+    };
+    const long long infer_generate = InferenceOptions{}.generateLength;
+    double infer_cache_entries = infer_entries(infer_generate);
+    double infer_long_cache_entries = infer_entries(8 * infer_generate);
+
     JsonValue out = JsonValue::object();
     out.set("benchmark", JsonValue::string("sweep_speedup"));
     out.set("hardware_concurrency",
@@ -465,6 +481,10 @@ writeSweepSpeedupReport()
             JsonValue::number(100.0 * cache.hitRate()));
     out.set("train_plan_over_raw", JsonValue::number(train_over_raw));
     out.set("infer_plan_over_raw", JsonValue::number(infer_over_raw));
+    out.set("infer_tile_cache_entries",
+            JsonValue::number(infer_cache_entries));
+    out.set("infer_long_tile_cache_entries",
+            JsonValue::number(infer_long_cache_entries));
 
     std::ofstream f("BENCH_sweep_speedup.json");
     f << out.dump(2) << "\n";

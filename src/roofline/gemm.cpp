@@ -1,6 +1,7 @@
 #include "roofline/gemm.h"
 
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <bit>
 #include <cmath>
@@ -37,7 +38,9 @@ ceilDiv(double a, double b)
 }
 
 // Candidate tile edges for a dim: the powers of two from 16 below dim,
-// then dim itself, walked in that order without building a list.
+// then dim itself, walked in that order without building a list. The
+// edges strictly grow, which lets the walk stop at the first tile that
+// no longer fits.
 
 /** First candidate tile edge for @p dim. */
 long long
@@ -55,22 +58,91 @@ nextTile(long long t, long long dim)
     return t * 2 < dim ? t * 2 : dim;
 }
 
+/** Candidates per dim: 16, 32, ..., 2^62, then dim (at most 60). */
+constexpr size_t kMaxTileCandidates = 64;
+
 /**
- * Traffic (bytes) to the outer level for a given tile choice. When
- * tk < k the reduction is split into ceil(k/tk) chunks and the output
- * tile is read and written once per chunk, so the C term scales with
- * the chunk count — the single source of truth for both the search
- * and the streaming fallback.
+ * Traffic (bytes) to the outer level when A is re-read once per column
+ * block (@p n_blocks = ceil(n/tn)), B once per row block (@p m_blocks =
+ * ceil(m/tm)), and the output tile read and written once per reduction
+ * chunk (@p k_chunks = ceil(k/tk), 1 when the whole reduction fits).
+ * The one traffic formula of the GEMM model: the tile search, its
+ * streaming fallback, the register tile and the single-level device
+ * all go through it.
  */
 double
-tileTraffic(const GemmShape &s, long long tm, long long tn,
-            long long tk, double elem)
+tileTraffic(const GemmShape &s, double elem, double n_blocks,
+            double m_blocks, double k_chunks)
 {
-    double a_reads = double(s.m) * double(s.k) * ceilDiv(double(s.n), double(tn));
-    double b_reads = double(s.k) * double(s.n) * ceilDiv(double(s.m), double(tm));
-    double c_rw = 2.0 * double(s.m) * double(s.n) *
-                  ceilDiv(double(s.k), double(tk));
+    double a_reads = double(s.m) * double(s.k) * n_blocks;
+    double b_reads = double(s.k) * double(s.n) * m_blocks;
+    double c_rw = 2.0 * double(s.m) * double(s.n) * k_chunks;
     return elem * (a_reads + b_reads + c_rw);
+}
+
+/**
+ * The capacity-constrained tile walk behind searchTile, without the
+ * memo. For each (tm, tn) the output tile is reserved first and the
+ * rest of the budget goes to the k extent of the A and B tiles. A
+ * larger edge leaves less room, so a row ends at its first tile that
+ * does not fit, and the walk ends at the first row whose first tile
+ * does not fit; the first minimum in walk order wins.
+ */
+TileChoice
+walkTiles(const GemmShape &shape, double capacity_bytes,
+          double fill_factor)
+{
+    const double elem = precisionBytes(shape.precision);
+    const double budget = capacity_bytes * fill_factor / elem;
+    const double m = double(shape.m);
+    const double n = double(shape.n);
+    const double k = double(shape.k);
+
+    // ceil(n/tn) per column candidate, computed once for every row.
+    std::array<double, kMaxTileCandidates> n_blocks;
+    size_t columns = 0;
+    for (long long tn = firstTile(shape.n); tn != 0;
+         tn = nextTile(tn, shape.n))
+        n_blocks[columns++] = ceilDiv(n, double(tn));
+
+    TileChoice best;
+    best.traffic = std::numeric_limits<double>::infinity();
+
+    for (long long tm = firstTile(shape.m); tm != 0;
+         tm = nextTile(tm, shape.m)) {
+        const double m_blocks = ceilDiv(m, double(tm));
+        size_t col = 0;
+        for (long long tn = firstTile(shape.n); tn != 0;
+             tn = nextTile(tn, shape.n), ++col) {
+            double remaining = budget - double(tm) * double(tn);
+            if (remaining <= 0.0)
+                break;
+            long long tk = static_cast<long long>(remaining / (tm + tn));
+            if (tk < 1)
+                break;
+            // ceil(k/k) is exactly 1: skip the division when the
+            // whole reduction fits, as it mostly does.
+            const double k_chunks =
+                tk >= shape.k ? 1.0 : ceilDiv(k, double(tk));
+            tk = std::min(tk, shape.k);
+            double traffic = tileTraffic(shape, elem, n_blocks[col],
+                                         m_blocks, k_chunks);
+            if (traffic < best.traffic) {
+                best = {tm, tn, tk, traffic};
+            }
+        }
+        if (col == 0)
+            break;  // not even this row's first tile fits
+    }
+
+    if (!std::isfinite(best.traffic)) {
+        // Cache too small for even the minimal tile: every operand
+        // byte streams through without reuse, and the 1-element
+        // output chunk is revisited once per k step (same formula as
+        // the search, at the degenerate 1x1x1 tile).
+        best = {1, 1, 1, tileTraffic(shape, elem, n, m, k)};
+    }
+    return best;
 }
 
 // ---- Tile-search memo cache -----------------------------------------
@@ -80,7 +152,10 @@ tileTraffic(const GemmShape &s, long long tm, long long tn,
 // candidate scan is the engine's hottest loop. The cache is process-
 // wide, shared-read (std::shared_mutex), and safe under the exec
 // layer's concurrency. searchTile is a pure function of the key, so
-// caching can never change results.
+// caching can never change results. Shapes an evaluation visits once
+// (per-token decode attention, GemmOptions::memoizeTiles) skip it:
+// for them a lookup is a miss, a node allocation and an exclusive
+// lock that no later call pays back.
 
 struct TileKey
 {
@@ -119,6 +194,43 @@ std::unordered_map<TileKey, TileChoice, TileKeyHash> tile_cache;
 std::atomic<unsigned long long> tile_cache_hits{0};
 std::atomic<unsigned long long> tile_cache_misses{0};
 std::atomic<bool> tile_cache_on{true};
+
+/**
+ * searchTile with the memo as an argument: @p memoize false walks the
+ * tiles without touching the cache or its counters, for shapes an
+ * evaluation visits only once.
+ */
+TileChoice
+findTile(const GemmShape &shape, double capacity_bytes,
+         double fill_factor, bool memoize)
+{
+    checkPositive(shape.m, "gemm m");
+    checkPositive(shape.n, "gemm n");
+    checkPositive(shape.k, "gemm k");
+    checkPositive(capacity_bytes, "tile search capacity");
+
+    if (!memoize || !tile_cache_on.load(std::memory_order_relaxed))
+        return walkTiles(shape, capacity_bytes, fill_factor);
+
+    TileKey key{shape.m, shape.n, shape.k,
+                static_cast<int>(shape.precision),
+                std::bit_cast<std::uint64_t>(capacity_bytes),
+                std::bit_cast<std::uint64_t>(fill_factor)};
+    {
+        std::shared_lock lock(tile_cache_mu);
+        auto it = tile_cache.find(key);
+        if (it != tile_cache.end()) {
+            tile_cache_hits.fetch_add(1, std::memory_order_relaxed);
+            return it->second;
+        }
+    }
+
+    TileChoice best = walkTiles(shape, capacity_bytes, fill_factor);
+    tile_cache_misses.fetch_add(1, std::memory_order_relaxed);
+    std::unique_lock lock(tile_cache_mu);
+    tile_cache.emplace(key, best);
+    return best;
+}
 
 } // namespace
 
@@ -168,69 +280,7 @@ TileChoice
 searchTile(const GemmShape &shape, double capacity_bytes,
            double fill_factor)
 {
-    checkPositive(shape.m, "gemm m");
-    checkPositive(shape.n, "gemm n");
-    checkPositive(shape.k, "gemm k");
-    checkPositive(capacity_bytes, "tile search capacity");
-
-    const bool use_cache =
-        tile_cache_on.load(std::memory_order_relaxed);
-    TileKey key{shape.m, shape.n, shape.k,
-                static_cast<int>(shape.precision),
-                std::bit_cast<std::uint64_t>(capacity_bytes),
-                std::bit_cast<std::uint64_t>(fill_factor)};
-    if (use_cache) {
-        std::shared_lock lock(tile_cache_mu);
-        auto it = tile_cache.find(key);
-        if (it != tile_cache.end()) {
-            tile_cache_hits.fetch_add(1, std::memory_order_relaxed);
-            return it->second;
-        }
-    }
-
-    const double elem = precisionBytes(shape.precision);
-    const double budget = capacity_bytes * fill_factor / elem;
-
-    TileChoice best;
-    best.traffic = std::numeric_limits<double>::infinity();
-
-    for (long long tm = firstTile(shape.m); tm != 0;
-         tm = nextTile(tm, shape.m)) {
-        for (long long tn = firstTile(shape.n); tn != 0;
-             tn = nextTile(tn, shape.n)) {
-            // Reserve room for the output tile, then give the rest to
-            // the k extent of the A and B tiles.
-            double remaining = budget - double(tm) * double(tn);
-            if (remaining <= 0.0)
-                continue;
-            long long tk = static_cast<long long>(remaining / (tm + tn));
-            if (tk < 1)
-                continue;
-            tk = std::min(tk, shape.k);
-            double traffic = tileTraffic(shape, tm, tn, tk, elem);
-            if (traffic < best.traffic) {
-                best = {tm, tn, tk, traffic};
-            }
-        }
-    }
-
-    if (!std::isfinite(best.traffic)) {
-        // Cache too small for even the minimal tile: every operand
-        // byte streams through without reuse, and the 1-element
-        // output chunk is revisited once per k step (same formula as
-        // the search, at the degenerate 1x1x1 tile).
-        best.tm = 1;
-        best.tn = 1;
-        best.tk = 1;
-        best.traffic = tileTraffic(shape, 1, 1, 1, elem);
-    }
-
-    if (use_cache) {
-        tile_cache_misses.fetch_add(1, std::memory_order_relaxed);
-        std::unique_lock lock(tile_cache_mu);
-        tile_cache.emplace(key, best);
-    }
-    return best;
+    return findTile(shape, capacity_bytes, fill_factor, true);
 }
 
 KernelEstimate
@@ -293,22 +343,20 @@ estimateGemm(const Device &dev, const GemmShape &shape,
         if (i + 1 < levels) {
             // Traffic at level i is set by how well the next (inner)
             // level can tile the problem.
-            bytes = searchTile(shape, dev.mem[i + 1].capacity).traffic;
+            bytes = findTile(shape, dev.mem[i + 1].capacity, 0.5,
+                             opts.memoizeTiles)
+                        .traffic;
         } else if (levels == 1) {
             // Single-level device: assume perfect on-chip reuse, pay
             // only compulsory traffic.
-            bytes = elem * (double(shape.m) * shape.k +
-                            double(shape.k) * shape.n +
-                            2.0 * double(shape.m) * shape.n);
+            bytes = tileTraffic(shape, elem, 1.0, 1.0, 1.0);
         } else {
-            // Innermost scratch: traffic set by the register tile.
-            GemmShape reg = shape;
-            double a_reads = double(reg.m) * reg.k *
-                             ceilDiv(double(reg.n), double(kRegisterTile));
-            double b_reads = double(reg.k) * reg.n *
-                             ceilDiv(double(reg.m), double(kRegisterTile));
-            bytes = elem * (a_reads + b_reads +
-                            2.0 * double(reg.m) * reg.n);
+            // Innermost scratch: traffic set by the register tile,
+            // with the whole reduction in registers.
+            bytes = tileTraffic(
+                shape, elem,
+                ceilDiv(double(shape.n), double(kRegisterTile)),
+                ceilDiv(double(shape.m), double(kRegisterTile)), 1.0);
         }
         double util = dev.mem[i].utilization;
         if (i == 0 && skinny)

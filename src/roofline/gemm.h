@@ -46,6 +46,15 @@ struct GemmOptions
      * skinny and the GEMV DRAM-utilization factor applies.
      */
     long long skinnyThreshold = 32;
+
+    /**
+     * Look the per-level tile searches up in the process-wide memo
+     * (searchTile). evaluateOp clears it for ops whose shape follows
+     * the attended span (Op::spanDim): each generated token binds a
+     * new span, so those shapes recur in no later call and would only
+     * grow the memo. Results are the same either way.
+     */
+    bool memoizeTiles = true;
 };
 
 /** Chosen tile for one cache level (elements, not bytes). */
@@ -69,10 +78,19 @@ struct TileChoice
  * the C tile is read+written once per k chunk (once total when the
  * whole reduction fits, tk = k).
  *
+ * Candidates per dim are the powers of two from 16 below it, then the
+ * dim itself, walked rows (tm) outer, columns (tn) inner. The output
+ * tile is reserved first and the rest of the budget sets tk, so larger
+ * edges leave less room: a row stops at its first tile that does not
+ * fit, and the walk at the first row whose first tile does not fit.
+ * The first minimum in walk order wins. When no tile fits, the
+ * result is the streaming 1x1x1 tile, priced by the same formula.
+ *
  * Results are memoized in a process-wide, thread-safe cache keyed by
  * (m, n, k, precision, capacity, fill_factor); searchTile is a pure
  * function of that key, so the cache never changes results. See
- * tileCacheStats() / tileCacheClear().
+ * tileCacheStats() / tileCacheClear(). estimateGemm runs the same
+ * search without the memo when GemmOptions::memoizeTiles is false.
  */
 TileChoice searchTile(const GemmShape &shape, double capacity_bytes,
                       double fill_factor = 0.5);

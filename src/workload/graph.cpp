@@ -422,6 +422,9 @@ evaluateOp(const Device &dev, const Op &op)
       case OpKind::Gemm: {
         GemmOptions opts;
         opts.launchOverhead = false;
+        // A span-bound shape changes with every generated token, so
+        // memoizing its tiles would add entries no later call reads.
+        opts.memoizeTiles = op.spanDim == SpanDim::None;
         KernelEstimate est = estimateGemm(dev, op.gemm, op.name, opts);
         // Preserve the roofline bound classification computed by
         // estimateGemm; scaling by the batch count does not change it.

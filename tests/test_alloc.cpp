@@ -10,6 +10,7 @@
  * not touch the heap when nothing fails.
  */
 
+#include <algorithm>
 #include <atomic>
 #include <cstddef>
 #include <cstdlib>
@@ -163,6 +164,34 @@ TEST(Alloc, EvaluateOpOnWarmTileCacheIsFree)
     evaluateOp(dev, op);  // fills the tile cache
     KernelEstimate est;
     EXPECT_EQ(allocationsOf([&] { est = evaluateOp(dev, op); }), 0);
+    EXPECT_GT(est.time, 0.0);
+}
+
+TEST(Alloc, SpanBoundEvaluateOpIsFreeOnColdCache)
+{
+    // The decode qk^T op of Llama-2-70B at tp8, rebound to a new span
+    // per call as the evaluator does per generated token. Span-bound
+    // shapes bypass the tile memo, so even a cold cache neither grows
+    // nor allocates: 133 allocations and 128 new cache entries for
+    // these 64 calls while every shape was memoized, 0 and 0 since.
+    const Device dev = presets::h100_sxm();
+    const std::vector<Op> ops =
+        decodeLayerOps(models::llama2_70b(), 1, 512, 8, Precision::FP16);
+    auto it = std::find_if(ops.begin(), ops.end(),
+                           [](const Op &o) { return o.name == "qk^T"; });
+    ASSERT_NE(it, ops.end());
+    Op op = *it;
+    ASSERT_EQ(op.spanDim, SpanDim::GemmN);
+    tileCacheClear();
+    KernelEstimate est;
+    EXPECT_EQ(allocationsOf([&] {
+                  for (long long span = 513; span < 513 + 64; ++span) {
+                      bindSpan(op, span);
+                      est = evaluateOp(dev, op);
+                  }
+              }),
+              0);
+    EXPECT_EQ(tileCacheStats().entries, 0u);
     EXPECT_GT(est.time, 0.0);
 }
 

@@ -225,6 +225,20 @@ TEST(TileCache, DecodeIsIndependentOfTheMemo)
     EXPECT_GT(warm.decode.time, 0.0);
 }
 
+TEST(TileCache, SpanBoundShapesAreNotMemoized)
+{
+    // Each generated token binds a new attended span, so its qk^T and
+    // attn-v shapes are visited once per evaluation; only the shapes
+    // that do not depend on the generation length enter the memo.
+    tileCacheClear();
+    llama70bInference(64);
+    const size_t short_entries = tileCacheStats().entries;
+    tileCacheClear();
+    llama70bInference(4096);
+    EXPECT_EQ(tileCacheStats().entries, short_entries);
+    EXPECT_GT(short_entries, 0u);
+}
+
 std::vector<TrainingPlan>
 planAt(int threads)
 {

@@ -547,6 +547,8 @@ cmdTrace(const Args &args)
                        double(tstats.misses));
     session.counterSet("roofline/tile-cache-hit-rate",
                        tstats.hitRate());
+    session.counterSet("roofline/tile-cache-entries",
+                       double(tstats.entries));
     session.counterSet(
         "exec/threads",
         double(resolveThreads(
