@@ -485,5 +485,107 @@ TEST(Plan, KernelAggregatesMatchStepStream)
     }
 }
 
+void
+expectSameOp(const Op &want, const Op &got)
+{
+    SCOPED_TRACE(want.name);
+    EXPECT_EQ(want.name, got.name);
+    EXPECT_EQ(want.kind, got.kind);
+    EXPECT_EQ(want.gemm.m, got.gemm.m);
+    EXPECT_EQ(want.gemm.n, got.gemm.n);
+    EXPECT_EQ(want.gemm.k, got.gemm.k);
+    EXPECT_EQ(want.gemm.precision, got.gemm.precision);
+    EXPECT_EQ(want.count, got.count);
+    EXPECT_EQ(want.launchCount, got.launchCount);
+    EXPECT_EQ(want.rows, got.rows);
+    EXPECT_EQ(want.cols, got.cols);
+    EXPECT_EQ(want.elements, got.elements);
+    EXPECT_EQ(want.flopsPerElement, got.flopsPerElement);
+    EXPECT_EQ(want.fusedFlops, got.fusedFlops);
+    EXPECT_EQ(want.fusedDramBytes, got.fusedDramBytes);
+    EXPECT_EQ(want.fusedOnChipBytes, got.fusedOnChipBytes);
+    EXPECT_EQ(want.fusedPrecision, got.fusedPrecision);
+    EXPECT_EQ(want.streamBytes, got.streamBytes);
+    EXPECT_EQ(want.streamFlops, got.streamFlops);
+    EXPECT_EQ(want.streamPrecision, got.streamPrecision);
+    EXPECT_EQ(want.fused, got.fused);
+    EXPECT_EQ(want.spanDim, got.spanDim);
+}
+
+/** Share of @p fwd's FLOPs in the selectively recomputed region. */
+double
+selectiveRegionFraction(const std::vector<Op> &fwd)
+{
+    double total = 0.0;
+    double region = 0.0;
+    for (const Op &op : fwd) {
+        double fl = opFlops(op);
+        total += fl;
+        if (op.name == "qk^T" || op.name == "attn-softmax" ||
+            op.name == "attn-dropout" || op.name == "attn-v")
+            region += fl;
+    }
+    return region / total;
+}
+
+TEST(Plan, RecomputeReplaysTheForwardOpList)
+{
+    // The layer-recompute step replays exactly the layer-fwd op list,
+    // scaled by the selective-recompute share of that same list's
+    // FLOPs: the dense tp8+SP Table 1 mapping, and an MoE mapping
+    // whose experts shard over expert parallelism.
+    TransformerConfig gpt;
+    System gpt_sys;
+    ParallelConfig gpt_par;
+    TrainingOptions gpt_opts;
+    table1Config(&gpt, &gpt_sys, &gpt_par, &gpt_opts);
+
+    ParallelConfig moe_par;
+    moe_par.dataParallel = 8;
+    moe_par.tensorParallel = 4;
+    moe_par.pipelineParallel = 2;
+    moe_par.expertParallel = 8;
+    moe_par.sequenceParallel = true;
+    TrainingOptions moe_opts;
+    moe_opts.recompute = Recompute::Selective;
+
+    const struct
+    {
+        const char *label;
+        TransformerConfig model;
+        System sys;
+        ParallelConfig par;
+        long long batch;
+        TrainingOptions opts;
+    } cases[] = {
+        {"gpt-175b", gpt, gpt_sys, gpt_par, 64, gpt_opts},
+        {"mixtral-8x7b", models::mixtral8x7b(), presets::dgxA100(8),
+         moe_par, 128, moe_opts},
+    };
+    for (const auto &c : cases) {
+        SCOPED_TRACE(c.label);
+        plan::KernelPlan kp =
+            plan::lowerTraining(c.model, c.sys, c.par, c.batch, c.opts);
+        const plan::PlanStep *fwd = nullptr;
+        const plan::PlanStep *rec = nullptr;
+        for (const plan::PlanStep &st : kp.steps) {
+            if (st.name == "layer-fwd")
+                fwd = &st;
+            if (st.name == "layer-recompute")
+                rec = &st;
+        }
+        ASSERT_NE(fwd, nullptr);
+        ASSERT_NE(rec, nullptr);
+        ASSERT_EQ(fwd->parts.size(), 1u);
+        ASSERT_EQ(rec->parts.size(), 1u);
+        const std::vector<Op> &ops = fwd->parts[0].ops;
+        ASSERT_EQ(ops.size(), rec->parts[0].ops.size());
+        for (size_t i = 0; i < ops.size(); ++i)
+            expectSameOp(ops[i], rec->parts[0].ops[i]);
+        EXPECT_GT(rec->parts[0].scale, 0.0);
+        EXPECT_EQ(rec->parts[0].scale, selectiveRegionFraction(ops));
+    }
+}
+
 } // namespace
 } // namespace optimus
