@@ -90,8 +90,8 @@ evaluateCompute(const Device &dev, const PlanStep &st, bool detail,
         if (st.combine == PartCombine::Sum || pi == winner)
             addWork(ev, ev.partEsts[pi], st.parts[pi].scale * instances);
     ev.boundLevel = ev.partEsts[0].boundLevel;
-    if (st.bucketByBound) {
-        // Bound-bucketed steps are single-op by construction.
+    if (st.kernelStep) {
+        // Kernel steps are single-op by construction.
         BoundBucket b =
             boundBucket(st.parts[0].ops[0], ev.boundLevel);
         ev.category = bucketCategory(st.phase, b);

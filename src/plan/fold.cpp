@@ -30,7 +30,7 @@ instanceSpan(const EvaluatedPlan &ep, size_t i, long long token)
 {
     const PlanStep &st = ep.plan.steps[i];
     const StepEval &ev = ep.evals[i];
-    if (!st.kernelDetail) {
+    if (!st.kernelStep) {
         TraceSpan s;
         s.name = st.name;
         s.category = ev.category;
@@ -65,8 +65,8 @@ stepSpans(const EvaluatedPlan &ep, size_t i, long long token, Fn &fn)
     if (!st.detailLane.empty() && !ev.opEsts.empty()) {
         const std::vector<Op> &ops = st.parts[0].ops;
         for (size_t j = 0; j < ops.size(); ++j) {
-            TraceSpan s = kernelSpan(ep.dev, ops[j].name,
-                                     st.detailCategory, ev.opEsts[j]);
+            TraceSpan s =
+                kernelSpan(ep.dev, ops[j].name, "kernel", ev.opEsts[j]);
             s.microbatch = 0;
             s.layer = 0;
             fn(st.detailLane, std::move(s));

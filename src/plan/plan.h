@@ -71,7 +71,7 @@ enum class PartCombine {
     Max,  ///< parts live on different pipeline stages; worst one counts
 };
 
-/** The inference PhaseReport buckets of a bound-bucketed step. */
+/** The inference PhaseReport buckets of a kernel step. */
 enum class BoundBucket {
     GemmCompute,  ///< GEMM-like op bound by arithmetic throughput
     GemmMemory,   ///< GEMM-like op bound by a memory level
@@ -96,16 +96,17 @@ struct PlanStep
     StepKind kind = StepKind::Compute;
     std::string lane;      ///< trace lane, e.g. "stage0/comm"
     std::string name;      ///< event label, e.g. "tp-allreduce"
-    /** Breakdown category; empty for bound-bucketed compute steps. */
+    /** Breakdown category; empty for kernel steps. */
     std::string category;
     std::string phase;     ///< "train" | "prefill" | "decode"
 
     /**
-     * Resolve the category from the evaluated bound instead:
+     * A single-op kernel step: its instance spans carry full kernel
+     * detail, and its category resolves from the evaluated bound as
      * phase + "-" + {gemm-compute | gemm-memory | other} (the
      * inference PhaseReport buckets).
      */
-    bool bucketByBound = false;
+    bool kernelStep = false;
 
     // ---- Repeat structure -------------------------------------------
     long long repeatMicrobatch = 1;
@@ -146,14 +147,12 @@ struct PlanStep
     }
 
     // ---- Kernel detail ----------------------------------------------
-    /** Instance spans carry full kernel detail (single-op steps). */
-    bool kernelDetail = false;
     /**
-     * Additionally emit one per-op kernel-detail span per op of
-     * parts[0] on this lane (the trainer's "kernels/fwd" lanes).
+     * Additionally emit one per-op kernel-detail span (category
+     * "kernel") per op of parts[0] on this lane (the trainer's
+     * "kernels/fwd" lanes).
      */
     std::string detailLane;
-    std::string detailCategory = "kernel";
 
     // ---- Compute payload --------------------------------------------
     std::vector<ComputePart> parts;
@@ -210,7 +209,7 @@ struct StepEval
     double perInstance = 0.0;
     double total = 0.0;        ///< over all instances (or synthetic)
     /**
-     * Resolved category (bucketByBound applied; the bucket of the
+     * Resolved category (kernelStep buckets applied; the bucket of the
      * time-dominant bound for a span-bound range step).
      */
     std::string category;
@@ -291,11 +290,11 @@ Op tokenOp(const PlanStep &st, long long t);
 
 /**
  * Bucket of @p op bound at @p bound_level (KernelEstimate::boundLevel)
- * in a bound-bucketed step.
+ * in a kernel step.
  */
 BoundBucket boundBucket(const Op &op, int bound_level);
 
-/** Category of a bound-bucketed step: "<phase>-<bucket>". */
+/** Category of a kernel step: "<phase>-<bucket>". */
 std::string bucketCategory(const std::string &phase, BoundBucket b);
 
 // ---- Fold ------------------------------------------------------------

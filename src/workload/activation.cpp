@@ -3,7 +3,6 @@
 #include <cmath>
 
 #include "util/error.h"
-#include "workload/graph.h"
 
 namespace optimus {
 
@@ -109,8 +108,7 @@ activationMemory(const TransformerConfig &cfg, const ActivationParams &p,
 }
 
 double
-recomputeForwardFraction(const TransformerConfig &cfg,
-                         const ActivationParams &p, Recompute strategy)
+recomputeForwardFraction(const std::vector<Op> &fwd, Recompute strategy)
 {
     switch (strategy) {
       case Recompute::None:
@@ -120,17 +118,9 @@ recomputeForwardFraction(const TransformerConfig &cfg,
       case Recompute::Selective: {
         // Recompute only the attention-score region: QK^T, softmax,
         // dropout, and the attention-over-V contraction.
-        LayerGraphParams gp;
-        gp.batch = p.microbatch;
-        gp.seq = p.seq;
-        gp.tensorParallel = p.tensorParallel;
-        gp.sequenceParallel = p.sequenceParallel;
-        gp.flashAttention = p.flashAttention;
-        gp.training = true;
-        std::vector<Op> ops = layerForwardOps(cfg, gp);
         double total = 0.0;
         double region = 0.0;
-        for (const Op &op : ops) {
+        for (const Op &op : fwd) {
             double fl = opFlops(op);
             total += fl;
             if (op.name == "qk^T" || op.name == "attn-softmax" ||

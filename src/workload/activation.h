@@ -15,6 +15,9 @@
 #ifndef OPTIMUS_WORKLOAD_ACTIVATION_H
 #define OPTIMUS_WORKLOAD_ACTIVATION_H
 
+#include <vector>
+
+#include "workload/graph.h"
 #include "workload/model_config.h"
 
 namespace optimus {
@@ -79,13 +82,13 @@ double activationMemory(const TransformerConfig &cfg,
                         Recompute strategy, long long checkpoints = 0);
 
 /**
- * Extra forward work factor caused by recomputation: 1.0 for full
- * (the whole forward pass runs again), ~0 for none. Selective
+ * Extra forward work factor caused by recomputation of the layer
+ * whose forward op list (layerForwardOps) is @p fwd: 1.0 for full
+ * (the whole forward pass runs again), 0 for none. Selective
  * recomputes only the cheap softmax/dropout region; we charge the
- * fraction of forward FLOPs in that region.
+ * fraction of @p fwd's FLOPs in that region.
  */
-double recomputeForwardFraction(const TransformerConfig &cfg,
-                                const ActivationParams &p,
+double recomputeForwardFraction(const std::vector<Op> &fwd,
                                 Recompute strategy);
 
 } // namespace optimus

@@ -246,9 +246,8 @@ layerForwardOps(const TransformerConfig &cfg, const LayerGraphParams &p)
 }
 
 std::vector<Op>
-layerBackwardOps(const TransformerConfig &cfg, const LayerGraphParams &p)
+layerBackwardOps(const std::vector<Op> &fwd)
 {
-    std::vector<Op> fwd = layerForwardOps(cfg, p);
     std::vector<Op> bwd;
     bwd.reserve(fwd.size() * 2);
 

@@ -121,12 +121,11 @@ std::vector<Op> layerForwardOps(const TransformerConfig &cfg,
                                 const LayerGraphParams &p);
 
 /**
- * Backward op list derived from the forward graph: each GEMM yields a
- * data-gradient GEMM and a weight-gradient GEMM; stream ops move
- * roughly the same bytes again.
+ * Backward op list derived from a layerForwardOps list, in reverse
+ * order: each GEMM yields a data-gradient GEMM and a weight-gradient
+ * GEMM; stream ops move roughly the same bytes again.
  */
-std::vector<Op> layerBackwardOps(const TransformerConfig &cfg,
-                                 const LayerGraphParams &p);
+std::vector<Op> layerBackwardOps(const std::vector<Op> &fwd);
 
 /**
  * Decode-phase op list for one layer generating one token per

@@ -114,7 +114,7 @@ TEST(FlashAttention, BackwardCarriesRecomputeFactor)
     for (const Op &op : layerForwardOps(cfg, p))
         if (op.kind == OpKind::FusedAttention)
             fwd = op.fusedFlops;
-    for (const Op &op : layerBackwardOps(cfg, p))
+    for (const Op &op : layerBackwardOps(layerForwardOps(cfg, p)))
         if (op.kind == OpKind::FusedAttention)
             bwd = op.fusedFlops;
     EXPECT_DOUBLE_EQ(bwd, fwd * 2.5);

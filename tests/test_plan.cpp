@@ -512,22 +512,6 @@ expectSameOp(const Op &want, const Op &got)
     EXPECT_EQ(want.spanDim, got.spanDim);
 }
 
-/** Share of @p fwd's FLOPs in the selectively recomputed region. */
-double
-selectiveRegionFraction(const std::vector<Op> &fwd)
-{
-    double total = 0.0;
-    double region = 0.0;
-    for (const Op &op : fwd) {
-        double fl = opFlops(op);
-        total += fl;
-        if (op.name == "qk^T" || op.name == "attn-softmax" ||
-            op.name == "attn-dropout" || op.name == "attn-v")
-            region += fl;
-    }
-    return region / total;
-}
-
 TEST(Plan, RecomputeReplaysTheForwardOpList)
 {
     // The layer-recompute step replays exactly the layer-fwd op list,
@@ -583,7 +567,8 @@ TEST(Plan, RecomputeReplaysTheForwardOpList)
         for (size_t i = 0; i < ops.size(); ++i)
             expectSameOp(ops[i], rec->parts[0].ops[i]);
         EXPECT_GT(rec->parts[0].scale, 0.0);
-        EXPECT_EQ(rec->parts[0].scale, selectiveRegionFraction(ops));
+        EXPECT_EQ(rec->parts[0].scale,
+                  recomputeForwardFraction(ops, Recompute::Selective));
     }
 }
 

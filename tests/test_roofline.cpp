@@ -463,9 +463,11 @@ TEST(Roofline, EvaluateOpsIsTheCombinedFold)
         std::vector<Op> ops;
     } lists[] = {
         {"gpt-175b forward", layerForwardOps(gpt, train)},
-        {"gpt-175b backward", layerBackwardOps(gpt, train)},
+        {"gpt-175b backward",
+         layerBackwardOps(layerForwardOps(gpt, train))},
         {"gpt-175b flash forward", layerForwardOps(gpt, flash)},
-        {"gpt-175b flash backward", layerBackwardOps(gpt, flash)},
+        {"gpt-175b flash backward",
+         layerBackwardOps(layerForwardOps(gpt, flash))},
         {"llama2-70b decode",
          decodeLayerOps(llama, 16, 1500, 8, Precision::FP16)},
         {"llama2-70b decode fp8 kv",

@@ -148,7 +148,7 @@ TEST(LayerGraph, BackwardIsTwiceForwardGemmWork)
     for (const Op &op : layerForwardOps(cfg, p))
         if (op.kind == OpKind::Gemm)
             fwd += opFlops(op);
-    for (const Op &op : layerBackwardOps(cfg, p))
+    for (const Op &op : layerBackwardOps(layerForwardOps(cfg, p)))
         if (op.kind == OpKind::Gemm)
             bwd += opFlops(op);
     EXPECT_NEAR(bwd, 2.0 * fwd, fwd * 1e-9);
@@ -374,14 +374,12 @@ TEST(Activation, StrategyOrdering)
 TEST(Activation, RecomputeForwardFraction)
 {
     TransformerConfig cfg = models::gpt175b();
-    ActivationParams p;
+    LayerGraphParams p;
     p.tensorParallel = 8;
-    EXPECT_DOUBLE_EQ(
-        recomputeForwardFraction(cfg, p, Recompute::None), 0.0);
-    EXPECT_DOUBLE_EQ(
-        recomputeForwardFraction(cfg, p, Recompute::Full), 1.0);
-    double sel =
-        recomputeForwardFraction(cfg, p, Recompute::Selective);
+    const std::vector<Op> fwd = layerForwardOps(cfg, p);
+    EXPECT_DOUBLE_EQ(recomputeForwardFraction(fwd, Recompute::None), 0.0);
+    EXPECT_DOUBLE_EQ(recomputeForwardFraction(fwd, Recompute::Full), 1.0);
+    double sel = recomputeForwardFraction(fwd, Recompute::Selective);
     // Softmax/dropout region is cheap: a few percent of the layer.
     EXPECT_GT(sel, 0.0);
     EXPECT_LT(sel, 0.10);
