@@ -413,7 +413,7 @@ lowerInference(const TransformerConfig &cfg, const System &sys,
     auto perLayer = [&](PlanStep s) {
         s.repeatLayer = L;
         s.coordLayer = true;
-        prefill.push_back(std::move(s));
+        return s;
     };
 
     LayerGraphParams gp;
@@ -424,13 +424,13 @@ lowerInference(const TransformerConfig &cfg, const System &sys,
     gp.training = false;
     gp.flashAttention = opts.flashAttention;
     for (const Op &op : layerForwardOps(cfg, gp))
-        perLayer(opStep(op, "prefill"));
+        prefill.push_back(perLayer(opStep(op, "prefill")));
 
     if (tp > 1)
-        perLayer(commStep("prefill/comm", "tp-allreduce", "prefill-comm",
-                          "prefill", CollectiveKind::AllReduce,
-                          prompt_bytes, tp, groupScopeFor(sys, tp),
-                          opts.collectiveAlgorithm, 2.0));
+        prefill.push_back(perLayer(commStep(
+            "prefill/comm", "tp-allreduce", "prefill-comm", "prefill",
+            CollectiveKind::AllReduce, prompt_bytes, tp,
+            groupScopeFor(sys, tp), opts.collectiveAlgorithm, 2.0)));
 
     // First sampled token: the LM head runs once on the last position.
     for (const Op &op : headOps(cfg, opts.batch, tp, opts.precision))
