@@ -159,12 +159,12 @@ lowerTraining(const TransformerConfig &cfg, const System &sys,
     const double recompute_frac =
         recomputeForwardFraction(fwd_ops, opts.recompute);
     const bool recompute = recompute_frac > 0.0;
+    // The layer-recompute step replays a copy of the same list.
+    std::vector<Op> replay = recompute ? fwd_ops : std::vector<Op>();
 
-    // The list is copied here when the recompute step replays it
-    // below, and moved otherwise.
     PlanStep fwd = perLayer(computeStep(
         "stage0/fwd", "layer-fwd", "forward", "train", "layer-fwd",
-        recompute ? fwd_ops : std::move(fwd_ops)));
+        std::move(fwd_ops)));
     fwd.detailLane = "kernels/fwd";
     PlanStep bwd = perLayer(computeStep(
         "stage0/bwd", "layer-bwd", "backward", "train", "layer-bwd",
@@ -175,7 +175,7 @@ lowerTraining(const TransformerConfig &cfg, const System &sys,
     if (recompute)
         kp.steps.push_back(perLayer(computeStep(
             "stage0/recompute", "layer-recompute", "recompute", "train",
-            "layer-fwd", std::move(fwd_ops), recompute_frac)));
+            "layer-fwd", std::move(replay), recompute_frac)));
 
     // ---- Embedding + LM head (worst stage carries both) -------------
     {
