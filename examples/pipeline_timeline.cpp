@@ -69,7 +69,7 @@ main()
 
         if (c.sched == PipelineSchedule::Interleaved1F1B) {
             std::ofstream trace("pipeline_trace.json");
-            trace << toChromeTrace(r);
+            trace << chromeTraceJson(scheduleTrace(r)).dump();
             std::cout << "wrote pipeline_trace.json ("
                       << r.events.size() << " events) - open in "
                       << "chrome://tracing or perfetto\n\n";

@@ -1,7 +1,7 @@
 #include "parallel/schedule_sim.h"
 
 #include <algorithm>
-#include <cstdio>
+#include <string>
 
 #include "util/error.h"
 
@@ -183,29 +183,32 @@ simulatePipeline(const ScheduleSimParams &prm)
     return result;
 }
 
-std::string
-toChromeTrace(const ScheduleSimResult &result)
+TraceSession
+scheduleTrace(const ScheduleSimResult &result)
 {
-    // chrome://tracing "trace event" format: X (complete) events with
-    // microsecond timestamps; one row (tid) per pipeline stage.
-    std::string out = "[";
-    bool first = true;
-    char buf[256];
+    // Lanes are registered in stage order, so a span's lane (its
+    // Chrome tid) is its stage.
+    int stages = 0;
+    for (const SimEvent &e : result.events)
+        stages = std::max(stages, e.stage + 1);
+    TraceSession session;
+    for (int s = 0; s < stages; ++s)
+        session.lane("stage" + std::to_string(s));
+
+    // Per stage the events are in start order and do not overlap, so
+    // emit keeps every start and the idle gaps between them.
     for (const SimEvent &e : result.events) {
-        if (!first)
-            out += ",";
-        first = false;
-        std::snprintf(
-            buf, sizeof(buf),
-            "{\"name\":\"%s mb%lld c%d\",\"ph\":\"X\",\"pid\":0,"
-            "\"tid\":%d,\"ts\":%.3f,\"dur\":%.3f}",
-            e.backward ? "B" : "F",
-            static_cast<long long>(e.microbatch), e.chunk, e.stage,
-            e.start * 1e6, (e.end - e.start) * 1e6);
-        out += buf;
+        TraceSpan span;
+        span.name = std::string(e.backward ? "B" : "F") + " mb" +
+                    std::to_string(e.microbatch) + " c" +
+                    std::to_string(e.chunk);
+        span.category = e.backward ? "backward" : "forward";
+        span.start = e.start;
+        span.duration = e.end - e.start;
+        span.microbatch = e.microbatch;
+        session.emit(e.stage, std::move(span));
     }
-    out += "]";
-    return out;
+    return session;
 }
 
 } // namespace optimus

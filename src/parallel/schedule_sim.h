@@ -5,18 +5,19 @@
  * The training engine uses closed-form bubble fractions (Sec. 3.2);
  * this module simulates the actual schedules — every forward/backward
  * chunk of every microbatch on every stage, with p2p transfer delays —
- * producing an exact makespan, a per-stage timeline, and a Chrome
- * trace (chrome://tracing JSON) for visual inspection. Tests verify
- * the closed forms against the simulation.
+ * producing an exact makespan and a per-stage timeline. The timeline
+ * converts to a TraceSession (one lane per stage), which
+ * trace/export.h's chromeTraceJson writes for visual inspection. Tests
+ * verify the closed forms against the simulation.
  */
 
 #ifndef OPTIMUS_PARALLEL_SCHEDULE_SIM_H
 #define OPTIMUS_PARALLEL_SCHEDULE_SIM_H
 
-#include <string>
 #include <vector>
 
 #include "parallel/config.h"
+#include "trace/trace.h"
 
 namespace optimus {
 
@@ -55,8 +56,12 @@ struct ScheduleSimResult
 /** Run the simulation; throws ConfigError on invalid parameters. */
 ScheduleSimResult simulatePipeline(const ScheduleSimParams &params);
 
-/** Serialize a timeline as chrome://tracing JSON. */
-std::string toChromeTrace(const ScheduleSimResult &result);
+/**
+ * The timeline as a trace: lane s ("stage<s>") holds stage s's chunks
+ * as "F|B mb<m> c<chunk>" spans (category "forward" / "backward") at
+ * their simulated start, idle gaps included.
+ */
+TraceSession scheduleTrace(const ScheduleSimResult &result);
 
 } // namespace optimus
 

@@ -20,6 +20,26 @@ namespace plan {
 namespace {
 
 /**
+ * A span carrying the full kernel detail of @p est: duration, FLOPs,
+ * DRAM traffic, launch overhead and the canonical bound name
+ * (boundLevelName, shared with Table 4 / roofline reports).
+ */
+TraceSpan
+kernelSpan(const Device &dev, const std::string &name,
+           const std::string &category, const KernelEstimate &est)
+{
+    TraceSpan s;
+    s.name = name;
+    s.category = category;
+    s.duration = est.time;
+    s.flops = est.flops;
+    s.dramBytes = est.bytesPerLevel.empty() ? 0.0 : est.bytesPerLevel[0];
+    s.overhead = est.overhead;
+    s.bound = boundLevelName(dev, est.boundLevel);
+    return s;
+}
+
+/**
  * Instance span of step @p i (coordinates stamped by the caller) at
  * decode token @p token (-1 outside a range). A span-bound range step
  * takes the token's own estimate and bucket: the stored detail
@@ -93,8 +113,7 @@ stepSpans(const EvaluatedPlan &ep, size_t i, long long token, Fn &fn)
             s.duration *= rl;
             if (s.isKernel()) {
                 s.flops *= rl;
-                for (double &b : s.bytesPerLevel)
-                    b *= rl;
+                s.dramBytes *= rl;
                 s.overhead *= rl;
             }
             if (st.coordMicrobatch)
@@ -178,63 +197,6 @@ breakdownField(TrainingBreakdown &t, const std::string &category)
     return nullptr;
 }
 
-/**
- * Per-identity accumulator of kernel-detail spans: the one fold
- * behind both kernelAggregates overloads.
- */
-class KernelFold
-{
-  public:
-    /** Fold @p s (a non-kernel span is ignored) on lane @p lane. */
-    void add(const std::string &lane, const TraceSpan &s)
-    {
-        if (!s.isKernel())
-            return;
-        const std::string key = lane + "/" + s.name;
-        Agg &g = byKey_[key];
-        if (g.a.count == 0) {
-            g.a.key = key;
-            g.a.category = s.category;
-        }
-        ++g.a.count;
-        g.a.time += s.duration;
-        g.a.flops += s.flops;
-        g.a.dramBytes += s.dramBytes();
-        g.a.overhead += s.overhead;
-        g.boundTime[s.bound] += s.duration;
-    }
-
-    /** The aggregates, sorted by key. */
-    std::vector<KernelAggregate> rows()
-    {
-        std::vector<KernelAggregate> out;
-        out.reserve(byKey_.size());
-        for (auto &kv : byKey_) {
-            // A kernel whose bound class varies within the run (e.g. a
-            // decode GEMV flipping DRAM -> L2 as the context grows) is
-            // labeled by its time-dominant class; ties break
-            // lexicographically so the label is deterministic.
-            Agg &g = kv.second;
-            double best = -1.0;
-            for (const auto &bt : g.boundTime)
-                if (bt.second > best) {
-                    best = bt.second;
-                    g.a.bound = bt.first;
-                }
-            out.push_back(std::move(g.a));
-        }
-        return out;
-    }
-
-  private:
-    struct Agg
-    {
-        KernelAggregate a;
-        std::map<std::string, double> boundTime;
-    };
-    std::map<std::string, Agg> byKey_;
-};
-
 } // namespace
 
 FoldedTraining
@@ -298,22 +260,47 @@ foldInference(const EvaluatedPlan &ep, TraceSession *trace)
 std::vector<KernelAggregate>
 kernelAggregates(const EvaluatedPlan &ep)
 {
-    KernelFold fold;
-    forEachStepSpan(ep, [&fold](const std::string &lane,
-                                const TraceSpan &s) {
-        fold.add(lane, s);
+    struct Agg
+    {
+        KernelAggregate a;
+        std::map<std::string, double> boundTime;
+    };
+    std::map<std::string, Agg> by_key;
+    forEachStepSpan(ep, [&by_key](const std::string &lane,
+                                  const TraceSpan &s) {
+        if (!s.isKernel())
+            return;
+        const std::string key = lane + "/" + s.name;
+        Agg &g = by_key[key];
+        if (g.a.count == 0) {
+            g.a.key = key;
+            g.a.category = s.category;
+        }
+        ++g.a.count;
+        g.a.time += s.duration;
+        g.a.flops += s.flops;
+        g.a.dramBytes += s.dramBytes;
+        g.a.overhead += s.overhead;
+        g.boundTime[s.bound] += s.duration;
     });
-    return fold.rows();
-}
 
-std::vector<KernelAggregate>
-kernelAggregates(const TraceSession &session)
-{
-    KernelFold fold;
-    const std::vector<TraceLane> &lanes = session.lanes();
-    for (const TraceSpan &s : session.spans())
-        fold.add(lanes.at(size_t(s.lane)).name, s);
-    return fold.rows();
+    std::vector<KernelAggregate> out;
+    out.reserve(by_key.size());
+    for (auto &kv : by_key) {
+        // A kernel whose bound class varies within the run (e.g. a
+        // decode GEMV flipping DRAM -> L2 as the context grows) is
+        // labeled by its time-dominant class; ties break
+        // lexicographically so the label is deterministic.
+        Agg &g = kv.second;
+        double best = -1.0;
+        for (const auto &bt : g.boundTime)
+            if (bt.second > best) {
+                best = bt.second;
+                g.a.bound = bt.first;
+            }
+        out.push_back(std::move(g.a));
+    }
+    return out;
 }
 
 } // namespace plan

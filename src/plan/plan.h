@@ -352,12 +352,6 @@ struct KernelAggregate
  */
 std::vector<KernelAggregate> kernelAggregates(const EvaluatedPlan &ep);
 
-/**
- * The same fold over the kernel-detail spans recorded in @p session;
- * for a traced evaluation it equals the EvaluatedPlan overload.
- */
-std::vector<KernelAggregate> kernelAggregates(const TraceSession &session);
-
 // ---- Drivers ---------------------------------------------------------
 
 /** Result of a full training run over the plan pipeline. */
@@ -415,14 +409,6 @@ std::vector<StepSummary> summarizePlan(const EvaluatedPlan &ep);
 
 /** Schema "optimus-kernel-plan" version 1 document. */
 JsonValue planJson(const EvaluatedPlan &ep);
-
-/** Serialize summaries (the body of planJson). */
-JsonValue summariesToJson(const std::vector<StepSummary> &steps,
-                          const std::string &phase);
-
-/** Parse a planJson document back into summaries (round trip). */
-std::vector<StepSummary> summariesFromJson(const JsonValue &doc,
-                                           std::string *phase = nullptr);
 
 /** RFC-4180 CSV of the step summaries (header + one row per step). */
 std::string planCsv(const EvaluatedPlan &ep);

@@ -9,8 +9,9 @@
 #include "plan/plan.h"
 
 #include <charconv>
+#include <sstream>
 
-#include "util/error.h"
+#include "util/table.h"
 
 namespace optimus {
 namespace plan {
@@ -24,22 +25,6 @@ const char *
 scopeName(GroupScope scope)
 {
     return scope == GroupScope::InterNode ? "inter-node" : "intra-node";
-}
-
-/** RFC-4180 cell: quote anything with a comma, quote, CR or LF. */
-std::string
-csvCell(const std::string &cell)
-{
-    if (cell.find_first_of(",\"\r\n") == std::string::npos)
-        return cell;
-    std::string out = "\"";
-    for (char c : cell) {
-        if (c == '"')
-            out += '"';
-        out += c;
-    }
-    out += '"';
-    return out;
 }
 
 /** %.17g text: exact, so the CSV parses back to the same doubles. */
@@ -92,17 +77,16 @@ summarizePlan(const EvaluatedPlan &ep)
 }
 
 JsonValue
-summariesToJson(const std::vector<StepSummary> &steps,
-                const std::string &phase)
+planJson(const EvaluatedPlan &ep)
 {
     JsonValue doc = JsonValue::object();
     doc.set("schema", JsonValue::string(kSchemaName));
     doc.set("version", JsonValue::number(double(kSchemaVersion)));
-    doc.set("phase", JsonValue::string(phase));
+    doc.set("phase", JsonValue::string(ep.plan.phase));
 
     JsonValue arr = JsonValue::array();
     double total_time = 0.0, total_flops = 0.0, total_bytes = 0.0;
-    for (const StepSummary &r : steps) {
+    for (const StepSummary &r : summarizePlan(ep)) {
         JsonValue e = JsonValue::object();
         e.set("lane", JsonValue::string(r.lane));
         e.set("name", JsonValue::string(r.name));
@@ -130,73 +114,30 @@ summariesToJson(const std::vector<StepSummary> &steps,
     return doc;
 }
 
-std::vector<StepSummary>
-summariesFromJson(const JsonValue &doc, std::string *phase)
-{
-    checkConfig(doc.isObject(), "kernel plan: document not an object");
-    checkConfig(doc.getString("schema", "") == kSchemaName,
-                "kernel plan: unexpected schema '" +
-                    doc.getString("schema", "") + "'");
-    checkConfig(doc.getInt("version", 0) == kSchemaVersion,
-                "kernel plan: unsupported version");
-    if (phase != nullptr)
-        *phase = doc.getString("phase", "");
-
-    std::vector<StepSummary> out;
-    for (const JsonValue &e : doc.at("steps").asArray()) {
-        StepSummary r;
-        r.lane = e.at("lane").asString();
-        r.name = e.at("name").asString();
-        r.category = e.getString("category", "");
-        r.kind = e.getString("kind", "");
-        r.count = e.getInt("count", 1);
-        r.perInstance = e.getNumber("per_instance_s", 0.0);
-        r.total = e.getNumber("total_s", 0.0);
-        r.flops = e.getNumber("flops", 0.0);
-        r.dramBytes = e.getNumber("dram_bytes", 0.0);
-        r.overhead = e.getNumber("overhead_s", 0.0);
-        r.detail = e.getString("detail", "");
-        out.push_back(std::move(r));
-    }
-    return out;
-}
-
-JsonValue
-planJson(const EvaluatedPlan &ep)
-{
-    return summariesToJson(summarizePlan(ep), ep.plan.phase);
-}
-
 std::string
 planCsv(const EvaluatedPlan &ep)
 {
-    std::string out = "lane,name,category,kind,count,per_instance_s,"
-                      "total_s,flops,dram_bytes,overhead_s,detail\n";
+    Table t({"lane", "name", "category", "kind", "count",
+             "per_instance_s", "total_s", "flops", "dram_bytes",
+             "overhead_s", "detail"});
     for (const StepSummary &r : summarizePlan(ep)) {
-        out += csvCell(r.lane);
-        out += ',';
-        out += csvCell(r.name);
-        out += ',';
-        out += csvCell(r.category);
-        out += ',';
-        out += r.kind;
-        out += ',';
-        out += std::to_string(r.count);
-        out += ',';
-        out += csvNumber(r.perInstance);
-        out += ',';
-        out += csvNumber(r.total);
-        out += ',';
-        out += csvNumber(r.flops);
-        out += ',';
-        out += csvNumber(r.dramBytes);
-        out += ',';
-        out += csvNumber(r.overhead);
-        out += ',';
-        out += csvCell(r.detail);
-        out += '\n';
+        t.beginRow()
+            .cell(r.lane)
+            .cell(r.name)
+            .cell(r.category)
+            .cell(r.kind)
+            .cell(r.count)
+            .cell(csvNumber(r.perInstance))
+            .cell(csvNumber(r.total))
+            .cell(csvNumber(r.flops))
+            .cell(csvNumber(r.dramBytes))
+            .cell(csvNumber(r.overhead))
+            .cell(r.detail);
+        t.endRow();
     }
-    return out;
+    std::ostringstream os;
+    t.printCsv(os);
+    return os.str();
 }
 
 } // namespace plan

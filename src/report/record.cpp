@@ -102,14 +102,6 @@ fingerprintJson(const JsonValue &config)
     return buf;
 }
 
-void
-foldTrace(RunRecord &rec, const TraceSession &session)
-{
-    rec.kernels = plan::kernelAggregates(session);
-    for (const auto &kv : session.counters())
-        rec.counters[kv.first] = kv.second;
-}
-
 JsonValue
 toJson(const RunRecord &rec)
 {
@@ -403,7 +395,7 @@ recordPlanner(const TransformerConfig &model, const System &sys,
         rec.setAttr("best/zero",
                     std::to_string(best.options.memory.zeroStage));
     }
-    foldTrace(rec, session);
+    rec.counters = session.counters();
     return rec;
 }
 
@@ -440,7 +432,7 @@ recordDse(const TechConfig &tech, const DeviceObjective &objective,
                   r.device.matrixFlops(Precision::FP16));
     rec.setMetric("device/l2-capacity",
                   r.device.level("L2").capacity);
-    foldTrace(rec, session);
+    rec.counters = session.counters();
     return rec;
 }
 

@@ -11,7 +11,7 @@
  * (tool version, schema version, git SHA), a stable fingerprint of
  * the (model, system, mapping) configuration, wall-clock and thread
  * count, the top-level metric breakdown, per-kernel aggregates with
- * FLOPs / traffic / bound class (folded from a TraceSession), the
+ * FLOPs / traffic / bound class (folded from the evaluated plan), the
  * counter registry totals, and any validation-table rows.
  *
  * Records written by `optimus_cli record` (or the always-on bench
@@ -35,9 +35,6 @@
 #include "util/json.h"
 
 namespace optimus {
-
-class TraceSession;
-
 namespace report {
 
 /** One kernel row: the plan's per-identity kernel aggregate. */
@@ -90,12 +87,6 @@ struct RunRecord
  */
 std::string fingerprintJson(const JsonValue &config);
 
-/**
- * Fill the record's kernel rows from @p session
- * (plan::kernelAggregates) and copy its counter totals.
- */
-void foldTrace(RunRecord &rec, const TraceSession &session);
-
 // ---- Serialization ---------------------------------------------------
 
 /** Serialize; the inverse of recordFromJson (lossless round trip). */
@@ -115,10 +106,13 @@ RunRecord loadRunRecord(const std::string &path);
 
 // ---- Builders --------------------------------------------------------
 //
-// Each builder runs the evaluator with a private TraceSession, stamps
-// the build identity, fingerprints the canonical config, and fills
-// metrics / kernels / counters. `threads` follows the exec-layer
-// convention (0 = OPTIMUS_THREADS env, default 1).
+// Each builder stamps the build identity, fingerprints the canonical
+// config, and fills metrics / kernels / counters. The training and
+// inference builders read kernel rows and counters off the evaluated
+// plan (plan::kernelAggregates); the planner and DSE builders run
+// their search with a private TraceSession and copy its counter
+// totals, so their records carry no kernel rows. `threads` follows
+// the exec-layer convention (0 = OPTIMUS_THREADS env, default 1).
 
 /** Record one training evaluation. */
 RunRecord recordTraining(const TransformerConfig &model,

@@ -69,7 +69,7 @@ chromeTraceJson(const TraceSession &session)
             args.set("step", JsonValue::number(double(s.step)));
         if (s.isKernel()) {
             args.set("flops", JsonValue::number(s.flops));
-            args.set("dram_bytes", JsonValue::number(s.dramBytes()));
+            args.set("dram_bytes", JsonValue::number(s.dramBytes));
             args.set("launch_overhead_s",
                      JsonValue::number(s.overhead));
             args.set("bound", JsonValue::string(s.bound));
@@ -119,7 +119,7 @@ kernelCsv(const TraceSession &session)
             .cell(s.layer)
             .cell(s.step)
             .cell(s.flops, 0)
-            .cell(s.dramBytes(), 0)
+            .cell(s.dramBytes, 0)
             .cell(s.overhead * 1e6, 3)
             .cell(s.bound);
         t.endRow();

@@ -63,21 +63,11 @@ TraceSession::emit(int lane_id, TraceSpan span)
                          static_cast<int>(lanes_.size()) - 1);
     TraceLane &l = lanes_[static_cast<size_t>(lane_id)];
     span.lane = lane_id;
-    span.start = l.cursor;
-    l.cursor += span.duration;
+    if (!(span.start > l.cursor))
+        span.start = l.cursor;
+    l.cursor = span.start + span.duration;
     spans_.push_back(std::move(span));
     return spans_.back().start;
-}
-
-double
-TraceSession::emit(int lane_id, const std::string &name,
-                   const std::string &category, double duration)
-{
-    TraceSpan s;
-    s.name = name;
-    s.category = category;
-    s.duration = duration;
-    return emit(lane_id, std::move(s));
 }
 
 void
@@ -138,22 +128,6 @@ TraceSession::makespan() const
     for (const TraceLane &l : lanes_)
         end = std::max(end, l.cursor);
     return end;
-}
-
-TraceSpan
-kernelSpan(const Device &dev, const std::string &name,
-           const std::string &category, const KernelEstimate &est)
-{
-    TraceSpan s;
-    s.name = name;
-    s.category = category;
-    s.duration = est.time;
-    s.flops = est.flops;
-    s.bytesPerLevel.assign(est.bytesPerLevel.begin(),
-                           est.bytesPerLevel.end());
-    s.overhead = est.overhead;
-    s.bound = boundLevelName(dev, est.boundLevel);
-    return s;
 }
 
 } // namespace optimus

@@ -11,7 +11,9 @@
  * search/analysis statistics (DSE evaluations, planner prunes, ...).
  *
  * Time is *virtual*: the model predicts durations, so each lane keeps
- * a cursor and spans are appended back to back. The key invariant of
+ * a cursor and spans are appended back to back (a producer that knows
+ * its own timeline, like the pipeline-schedule simulator, may place a
+ * span later to leave an idle gap). The key invariant of
  * every instrumented evaluator is that summing span durations per
  * category exactly reproduces the aggregate report (TrainingBreakdown
  * / PhaseReport) — the trace is a verified decomposition of the
@@ -19,7 +21,9 @@
  *
  * Tracing is opt-in and zero-overhead when off: evaluators take a
  * nullable TraceSession pointer (the null sink), and a disabled
- * session drops every record. Exporters live in trace/export.h.
+ * session drops every record. The session is a pure recording sink:
+ * it knows nothing of devices or estimates (the plan fold builds the
+ * kernel spans). Exporters live in trace/export.h.
  */
 
 #ifndef OPTIMUS_TRACE_TRACE_H
@@ -29,8 +33,6 @@
 #include <mutex>
 #include <string>
 #include <vector>
-
-#include "roofline/estimate.h"
 
 namespace optimus {
 
@@ -48,17 +50,11 @@ struct TraceSpan
     long long layer = -1;
     long long step = -1;   ///< decode token index
 
-    // Optional kernel detail (filled by kernelSpan()).
+    // Optional kernel detail (set by the plan fold for kernel spans).
     double flops = 0.0;
-    std::vector<double> bytesPerLevel; ///< traffic per memory level
-    double overhead = 0.0;             ///< kernel-launch overhead
-    std::string bound;                 ///< canonical binding resource
-
-    /** DRAM traffic (level 0), 0 when unknown. */
-    double dramBytes() const
-    {
-        return bytesPerLevel.empty() ? 0.0 : bytesPerLevel[0];
-    }
+    double dramBytes = 0.0;  ///< DRAM (memory level 0) traffic
+    double overhead = 0.0;   ///< kernel-launch overhead
+    std::string bound;       ///< canonical binding resource
 
     /** True when the span carries per-kernel detail. */
     bool isKernel() const { return !bound.empty(); }
@@ -112,15 +108,13 @@ class TraceSession
     int lane(const std::string &name);
 
     /**
-     * Append @p span (its duration already set) at the cursor of lane
-     * @p lane_id and advance the cursor. Returns the span's start
-     * time (0 when disabled).
+     * Append @p span (its duration already set) to lane @p lane_id and
+     * move the lane cursor to its end. The span keeps its `start` when
+     * that lies past the cursor (an idle gap); an earlier start moves
+     * to the cursor, so spans left at start = 0 run back to back.
+     * Returns the span's start time (0 when disabled).
      */
     double emit(int lane_id, TraceSpan span);
-
-    /** Convenience emit with name/category/duration only. */
-    double emit(int lane_id, const std::string &name,
-                const std::string &category, double duration);
 
     // ---- Counter registry -------------------------------------------
 
@@ -176,15 +170,6 @@ tracing(const TraceSession *t)
 {
     return t != nullptr && t->enabled();
 }
-
-/**
- * Build a span carrying the full kernel detail of @p est: duration,
- * FLOPs, per-level traffic, launch overhead and the canonical bound
- * name (boundLevelName, shared with Table 4 / roofline reports).
- */
-TraceSpan kernelSpan(const Device &dev, const std::string &name,
-                     const std::string &category,
-                     const KernelEstimate &est);
 
 } // namespace optimus
 

@@ -385,17 +385,32 @@ TEST(Plan, JsonDumpRoundTrips)
     EXPECT_EQ("training", doc.at("phase").asString());
     ASSERT_FALSE(doc.at("steps").asArray().empty());
 
-    // dump -> parse -> summaries -> dump must be byte-stable (the
-    // number formatter round-trips doubles losslessly).
+    // dump -> parse -> dump must be byte-stable (the number formatter
+    // round-trips doubles losslessly)...
     const std::string text = doc.dump(2);
     JsonValue parsed = JsonValue::parse(text);
-    std::string phase;
-    std::vector<plan::StepSummary> steps =
-        plan::summariesFromJson(parsed, &phase);
-    EXPECT_EQ("training", phase);
-    EXPECT_EQ(doc.at("steps").asArray().size(), steps.size());
-    JsonValue again = plan::summariesToJson(steps, phase);
-    EXPECT_EQ(text, again.dump(2));
+    EXPECT_EQ(text, parsed.dump(2));
+
+    // ...and every parsed step carries its summary's fields exactly.
+    std::vector<plan::StepSummary> steps = plan::summarizePlan(run.plan);
+    const std::vector<JsonValue> &rows = parsed.at("steps").asArray();
+    ASSERT_EQ(steps.size(), rows.size());
+    for (size_t i = 0; i < steps.size(); ++i) {
+        const plan::StepSummary &r = steps[i];
+        const JsonValue &e = rows[i];
+        SCOPED_TRACE(r.lane + "/" + r.name);
+        EXPECT_EQ(r.lane, e.at("lane").asString());
+        EXPECT_EQ(r.name, e.at("name").asString());
+        EXPECT_EQ(r.category, e.at("category").asString());
+        EXPECT_EQ(r.kind, e.at("kind").asString());
+        EXPECT_EQ(r.count, e.at("count").asInt());
+        EXPECT_EQ(r.perInstance, e.at("per_instance_s").asNumber());
+        EXPECT_EQ(r.total, e.at("total_s").asNumber());
+        EXPECT_EQ(r.flops, e.at("flops").asNumber());
+        EXPECT_EQ(r.dramBytes, e.at("dram_bytes").asNumber());
+        EXPECT_EQ(r.overhead, e.at("overhead_s").asNumber());
+        EXPECT_EQ(r.detail, e.at("detail").asString());
+    }
 
     // The dump's totals tie out against the report.
     expectNearRel(run.report.timePerBatch,
@@ -408,6 +423,34 @@ TEST(Plan, JsonDumpRoundTrips)
         if (c == '\n')
             ++lines;
     EXPECT_EQ(steps.size() + 1, lines);
+}
+
+TEST(Plan, CsvRowIsPinned)
+{
+    // A hand-built one-step plan whose lane and name need RFC-4180
+    // quoting: a quote in the lane, a comma in the name.
+    plan::EvaluatedPlan ep;
+    ep.plan.phase = "training";
+    plan::PlanStep st;
+    st.kind = plan::StepKind::Collective;
+    st.lane = "stage0/\"tp\"";
+    st.name = "all-reduce, fp16";
+    st.repeatMicrobatch = 2;
+    st.repeatLayer = 3;
+    st.scope = GroupScope::InterNode;
+    ep.plan.steps.push_back(st);
+    plan::StepEval ev;
+    ev.category = "tp-comm";
+    ev.perInstance = 0.1;
+    ev.total = 0.6;
+    ep.evals.push_back(ev);
+
+    EXPECT_EQ(plan::planCsv(ep),
+              "lane,name,category,kind,count,per_instance_s,total_s,"
+              "flops,dram_bytes,overhead_s,detail\n"
+              "\"stage0/\"\"tp\"\"\",\"all-reduce, fp16\",tp-comm,"
+              "collective,6,0.10000000000000001,0.59999999999999998,"
+              "0,0,0,inter-node\n");
 }
 
 TEST(Plan, GroupScopeBoundaryIsProductOverNode)

@@ -7,9 +7,13 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "parallel/pipeline.h"
 #include "parallel/schedule_sim.h"
+#include "trace/export.h"
 #include "util/error.h"
+#include "util/json.h"
 
 namespace optimus {
 namespace {
@@ -145,14 +149,35 @@ TEST(ScheduleSim, P2pDelaysStretchTheRamp)
 
 TEST(ScheduleSim, ChromeTraceIsWellFormedJson)
 {
+    // 1F1B with p = 4: later stages idle through the warm-up ramp, so
+    // the trace must keep the simulated starts, gaps included.
     ScheduleSimResult r = simulatePipeline(
-        params(PipelineSchedule::OneFOneB, 2, 2));
-    std::string trace = toChromeTrace(r);
-    EXPECT_EQ(trace.front(), '[');
-    EXPECT_EQ(trace.back(), ']');
-    EXPECT_NE(trace.find("\"ph\":\"X\""), std::string::npos);
-    EXPECT_NE(trace.find("F mb0 c0"), std::string::npos);
-    EXPECT_NE(trace.find("B mb1 c0"), std::string::npos);
+        params(PipelineSchedule::OneFOneB, 4, 8));
+    JsonValue doc = JsonValue::parse(
+        chromeTraceJson(scheduleTrace(r)).dump());
+    std::vector<const JsonValue *> spans;
+    for (const JsonValue &e : doc.at("traceEvents").asArray())
+        if (e.at("ph").asString() == "X")
+            spans.push_back(&e);
+    ASSERT_EQ(r.events.size(), spans.size());
+    for (size_t i = 0; i < spans.size(); ++i) {
+        const SimEvent &want = r.events[i];
+        const JsonValue &got = *spans[i];
+        SCOPED_TRACE(got.at("name").asString());
+        EXPECT_EQ(want.stage, got.at("tid").asInt());
+        EXPECT_EQ(want.start * 1e6, got.at("ts").asNumber());
+        EXPECT_EQ((want.end - want.start) * 1e6,
+                  got.at("dur").asNumber());
+    }
+    // Stage 3 first runs after three forward hops: its lane opens
+    // with an idle gap.
+    for (const SimEvent &e : r.events)
+        if (e.stage == 3) {
+            EXPECT_FALSE(e.backward);
+            EXPECT_EQ(0, e.microbatch);
+            EXPECT_EQ(3.0, e.start);
+            break;
+        }
 }
 
 TEST(ScheduleSim, RejectsBadInputs)

@@ -35,6 +35,18 @@ expectNearRel(double expected, double actual, double rel)
                 rel * std::max(1.0, std::abs(expected)));
 }
 
+/** A "forward" span of @p duration seconds, placed at @p start. */
+TraceSpan
+plainSpan(const std::string &name, double duration, double start = 0.0)
+{
+    TraceSpan s;
+    s.name = name;
+    s.category = "forward";
+    s.duration = duration;
+    s.start = start;
+    return s;
+}
+
 TraceSession
 tracedTraining(TrainingReport *out = nullptr)
 {
@@ -75,7 +87,7 @@ TEST(Trace, NullSinkRecordsNothing)
 {
     TraceSession off(false);
     int lane = off.lane("a");
-    off.emit(lane, "x", "forward", 1.0);
+    off.emit(lane, plainSpan("x", 1.0));
     off.counterAdd("c");
     off.counterSet("g", 3.0);
     EXPECT_TRUE(off.spans().empty());
@@ -203,7 +215,7 @@ TEST(Trace, CountersResetBetweenSessions)
     session.counterAdd("dse/evaluations");
     session.counterAdd("dse/evaluations");
     session.counterSet("dse/best-objective", 1.5);
-    session.emit(session.lane("l"), "x", "forward", 1.0);
+    session.emit(session.lane("l"), plainSpan("x", 1.0));
     EXPECT_EQ(session.counter("dse/evaluations"), 2.0);
     EXPECT_EQ(session.counterSamples().size(), 3u);
 
@@ -215,8 +227,27 @@ TEST(Trace, CountersResetBetweenSessions)
     EXPECT_EQ(session.makespan(), 0.0);
 
     // Lanes survive a reset but their cursors rewind to zero.
-    session.emit(session.lane("l"), "y", "forward", 2.0);
+    session.emit(session.lane("l"), plainSpan("y", 2.0));
     EXPECT_DOUBLE_EQ(session.spans().front().start, 0.0);
+}
+
+TEST(Trace, EmitKeepsStartsPastTheCursor)
+{
+    TraceSession session;
+    int lane = session.lane("l");
+    // A start past the cursor is kept: the gap [1, 3) stays idle.
+    EXPECT_EQ(session.emit(lane, plainSpan("a", 1.0)), 0.0);
+    EXPECT_EQ(session.emit(lane, plainSpan("b", 2.0, 3.0)), 3.0);
+    // A start before the cursor (5) moves to the cursor.
+    EXPECT_EQ(session.emit(lane, plainSpan("c", 1.0, 4.0)), 5.0);
+    EXPECT_EQ(session.emit(lane, plainSpan("d", 0.5)), 6.0);
+    EXPECT_EQ(session.lanes()[0].cursor, 6.5);
+    EXPECT_EQ(session.makespan(), 6.5);
+
+    // Each lane keeps its own cursor.
+    int other = session.lane("m");
+    EXPECT_EQ(session.emit(other, plainSpan("e", 1.0, 2.0)), 2.0);
+    EXPECT_EQ(session.lanes()[1].cursor, 3.0);
 }
 
 TEST(Trace, DseCountersAndRoundsSurface)
@@ -400,7 +431,7 @@ goldenSession()
     kernel.layer = 3;
     kernel.step = 12;
     kernel.flops = 3.4359738368e12;
-    kernel.bytesPerLevel = {1.2345678e9 / 7, 5e8};
+    kernel.dramBytes = 1.2345678e9 / 7;
     kernel.overhead = 4.5e-6;
     kernel.bound = "DRAM";
     session.emit(fwd, kernel);

@@ -519,7 +519,6 @@ cmdTrace(const Args &args)
     TraceSession session;
     session.counterAdd("lint/diagnostics",
                        double(lrep.diagnostics().size()));
-    session.counterAdd("lint/errors", double(lrep.errorCount()));
     session.counterAdd("lint/warnings", double(lrep.warningCount()));
     double model_total = 0.0;
     std::string what;
