@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
+#include <string>
 #include <vector>
 
 #include "parallel/pipeline.h"
@@ -164,11 +166,23 @@ TEST(ScheduleSim, ChromeTraceIsWellFormedJson)
         const SimEvent &want = r.events[i];
         const JsonValue &got = *spans[i];
         SCOPED_TRACE(got.at("name").asString());
+        EXPECT_EQ(std::string(want.backward ? "B" : "F") + " mb" +
+                      std::to_string(want.microbatch) + " c" +
+                      std::to_string(want.chunk),
+                  got.at("name").asString());
+        EXPECT_EQ(want.backward ? "backward" : "forward",
+                  got.at("cat").asString());
         EXPECT_EQ(want.stage, got.at("tid").asInt());
         EXPECT_EQ(want.start * 1e6, got.at("ts").asNumber());
         EXPECT_EQ((want.end - want.start) * 1e6,
                   got.at("dur").asNumber());
     }
+    // The span labels shown in trace viewers, pinned literally.
+    std::set<std::string> names;
+    for (const JsonValue *e : spans)
+        names.insert(e->at("name").asString());
+    EXPECT_EQ(1u, names.count("F mb0 c0"));
+    EXPECT_EQ(1u, names.count("B mb1 c0"));
     // Stage 3 first runs after three forward hops: its lane opens
     // with an idle gap.
     for (const SimEvent &e : r.events)
