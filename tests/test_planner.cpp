@@ -3,6 +3,8 @@
  * Tests for the parallelization planner.
  */
 
+#include <string>
+
 #include <gtest/gtest.h>
 
 #include "hw/presets.h"
@@ -94,6 +96,90 @@ TEST(TrainingPlanner, ZeroStageWidensTheSpace)
         planTraining(models::mixtral8x7b(), sys, 32, zero).size();
     EXPECT_GT(n_plain, 0u);
     EXPECT_GT(n_zero, n_plain);
+}
+
+void
+expectSameEstimate(const KernelEstimate &want, const KernelEstimate &got)
+{
+    EXPECT_EQ(want.kernel, got.kernel);
+    EXPECT_EQ(want.flops, got.flops);
+    EXPECT_EQ(want.bytesPerLevel, got.bytesPerLevel);
+    EXPECT_EQ(want.computeTime, got.computeTime);
+    EXPECT_EQ(want.memTimePerLevel, got.memTimePerLevel);
+    EXPECT_EQ(want.overhead, got.overhead);
+    EXPECT_EQ(want.time, got.time);
+    EXPECT_EQ(want.boundLevel, got.boundLevel);
+}
+
+void
+expectSameReport(const TrainingReport &want, const TrainingReport &got)
+{
+    EXPECT_EQ(want.time.forward, got.time.forward);
+    EXPECT_EQ(want.time.backward, got.time.backward);
+    EXPECT_EQ(want.time.recompute, got.time.recompute);
+    EXPECT_EQ(want.time.embedding, got.time.embedding);
+    EXPECT_EQ(want.time.tpComm, got.time.tpComm);
+    EXPECT_EQ(want.time.cpComm, got.time.cpComm);
+    EXPECT_EQ(want.time.epComm, got.time.epComm);
+    EXPECT_EQ(want.time.ppComm, got.time.ppComm);
+    EXPECT_EQ(want.time.dpComm, got.time.dpComm);
+    EXPECT_EQ(want.time.bubble, got.time.bubble);
+    EXPECT_EQ(want.time.optimizer, got.time.optimizer);
+    EXPECT_EQ(want.timePerBatch, got.timePerBatch);
+    EXPECT_EQ(want.memory.weights, got.memory.weights);
+    EXPECT_EQ(want.memory.gradients, got.memory.gradients);
+    EXPECT_EQ(want.memory.optimizer, got.memory.optimizer);
+    EXPECT_EQ(want.memory.activations, got.memory.activations);
+    EXPECT_EQ(want.microbatches, got.microbatches);
+    EXPECT_EQ(want.bubbleFraction, got.bubbleFraction);
+    EXPECT_EQ(want.modelFlops, got.modelFlops);
+    EXPECT_EQ(want.mfu, got.mfu);
+    expectSameEstimate(want.layerForward, got.layerForward);
+    expectSameEstimate(want.layerBackward, got.layerBackward);
+}
+
+TEST(TrainingPlanner, PlansEqualStandaloneEvaluation)
+{
+    // Every ranked plan's report is exactly what a standalone
+    // evaluateTraining of its (parallel, options) returns: dense and
+    // MoE models, FlashAttention on and off, interleaved schedules,
+    // every recompute choice and ZeRO stages 0, 1 and 3.
+    const struct
+    {
+        const char *label;
+        TransformerConfig model;
+        System sys;
+        long long batch;
+    } cases[] = {
+        {"gpt-175b", models::gpt175b(), presets::dgxA100(16), 128},
+        {"mixtral-8x7b", models::mixtral8x7b(), presets::dgxA100(2), 64},
+    };
+    for (const auto &c : cases) {
+        for (bool flash : {false, true}) {
+            SCOPED_TRACE(std::string(c.label) +
+                         (flash ? " flash" : " unfused"));
+            TrainingPlannerOptions opts;
+            opts.flashAttention = flash;
+            opts.zeroStages = {0, 1, 3};
+            opts.microbatchSizes = {1, 2};
+            opts.keep = 100000;
+            std::vector<TrainingPlan> plans =
+                planTraining(c.model, c.sys, c.batch, opts);
+            ASSERT_FALSE(plans.empty());
+            bool interleaved = false;
+            bool recompute[3] = {false, false, false};
+            for (const TrainingPlan &p : plans) {
+                interleaved |= p.parallel.interleavedStages > 1;
+                recompute[static_cast<int>(p.options.recompute)] = true;
+                expectSameReport(evaluateTraining(c.model, c.sys,
+                                                  p.parallel, c.batch,
+                                                  p.options),
+                                 p.report);
+            }
+            EXPECT_TRUE(interleaved);
+            EXPECT_TRUE(recompute[0] && recompute[1] && recompute[2]);
+        }
+    }
 }
 
 TEST(ServingPlanner, RanksByPerDeviceThroughput)
