@@ -12,6 +12,8 @@
 #include <chrono>
 #include <fstream>
 #include <iostream>
+#include <thread>
+#include <vector>
 
 #include "core/optimus.h"
 
@@ -277,6 +279,46 @@ planOverRaw(const plan::KernelPlan &kp, const System &sys)
 }
 
 /**
+ * Host parallel capacity: the throughput of one fixed CPU-bound loop
+ * run on @p threads threads at once, over its throughput on one
+ * thread (best of 3 each). A host that gives every thread its own core
+ * reads about @p threads; one that shares a single core's time between
+ * them reads about 1. The sweep speedups are bounded by about the
+ * same figure, so a speedup below 1 beside a capacity near 1 is the
+ * host's limit, not a regression.
+ */
+double
+parallelCapacity(int threads)
+{
+    using clock = std::chrono::steady_clock;
+    auto spin = [] {
+        // A dependent chain of ~30 ms the compiler cannot fold away.
+        double x = 1.0;
+        for (int i = 0; i < 20000000; ++i)
+            x = x * 1.0000001 + 1e-9;
+        benchmark::DoNotOptimize(x);
+    };
+    auto best_ms = [&](int n) {
+        double best = 1e300;
+        for (int rep = 0; rep < 3; ++rep) {
+            clock::time_point t0 = clock::now();
+            std::vector<std::thread> pool;
+            for (int t = 0; t < n; ++t)
+                pool.emplace_back(spin);
+            for (std::thread &th : pool)
+                th.join();
+            const double ms = std::chrono::duration<double, std::milli>(
+                                  clock::now() - t0)
+                                  .count();
+            best = std::min(best, ms);
+        }
+        return best;
+    };
+    const double one_ms = best_ms(1);
+    return double(threads) * one_ms / best_ms(threads);
+}
+
+/**
  * Serial-vs-parallel A/B of the two sweep-shaped engines (planner
  * enumeration and DSE search) plus a tile-cache on/off A/B, written
  * as BENCH_sweep_speedup.json. The acceptance gates: results must be
@@ -456,6 +498,8 @@ writeSweepSpeedupReport()
             JsonValue::number(planner_parallel_ms));
     out.set("planner_speedup",
             JsonValue::number(planner_serial_ms / planner_parallel_ms));
+    out.set("parallel_capacity",
+            JsonValue::number(parallelCapacity(kThreads)));
     out.set("planner_uncached_ms",
             JsonValue::number(planner_uncached_ms));
     out.set("tile_cache_speedup",

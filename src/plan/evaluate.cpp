@@ -25,22 +25,6 @@ namespace plan {
 
 namespace {
 
-/**
- * Evaluate one compute part. A single op goes through evaluateOp
- * directly so the estimate is bit-identical to the per-kernel detail
- * path.
- */
-KernelEstimate
-evaluatePart(const Device &dev, const ComputePart &part)
-{
-    KernelEstimate est = (part.ops.size() == 1)
-                             ? evaluateOp(dev, part.ops[0])
-                             : evaluateOps(dev, part.ops, part.label);
-    est.kernel =
-        part.ops.size() == 1 ? part.ops[0].name : part.label;
-    return est;
-}
-
 /** Attended span of token @p t of a range step. */
 long long
 tokenSpan(const PlanStep &st, long long t)
@@ -60,7 +44,10 @@ addWork(StepEval &ev, const KernelEstimate &est, double scale)
         ev.memoryTime += est.memTimePerLevel[0] * scale;
 }
 
-/** A compute step evaluated once (range steps: same for every token). */
+/**
+ * A compute step evaluated once (range steps: same for every token).
+ * A part that carries its layer part's estimate is not evaluated again.
+ */
 void
 evaluateCompute(const Device &dev, const PlanStep &st, bool detail,
                 StepEval &ev)
@@ -68,9 +55,12 @@ evaluateCompute(const Device &dev, const PlanStep &st, bool detail,
     const double instances = double(st.instances());
     double combined = 0.0;
     size_t winner = 0;
+    ev.partEsts.reserve(st.parts.size());
     for (size_t pi = 0; pi < st.parts.size(); ++pi) {
-        KernelEstimate est = evaluatePart(dev, st.parts[pi]);
-        double scaled = est.time * st.parts[pi].scale;
+        const ComputePart &part = st.parts[pi];
+        KernelEstimate est =
+            part.estimate ? *part.estimate : evaluatePart(dev, part);
+        double scaled = est.time * part.scale;
         if (pi == 0) {
             combined = scaled;
         } else if (st.combine == PartCombine::Max) {
@@ -153,6 +143,17 @@ evaluateSpanRange(const Device &dev, const PlanStep &st, bool detail,
 }
 
 } // namespace
+
+KernelEstimate
+evaluatePart(const Device &dev, const ComputePart &part)
+{
+    KernelEstimate est = (part.ops.size() == 1)
+                             ? evaluateOp(dev, part.ops[0])
+                             : evaluateOps(dev, part.ops, part.label);
+    est.kernel =
+        part.ops.size() == 1 ? part.ops[0].name : part.label;
+    return est;
+}
 
 bool
 bindsSpan(const PlanStep &st)

@@ -2,16 +2,20 @@
  * @file
  * Lowering of training and inference configurations onto the
  * kernel-plan IR. Every step is built by the step builders below:
- * computeStep (an op list), opStep (a single-op kernel step) and
+ * partStep (a compute part), opStep (a single-op kernel step) and
  * commStep (a collective), all over newStep (the step's identity),
  * which the synthetic steps use directly.
  *
- * Training: step order is load-bearing. It fixes the breakdown-field
+ * Training lowers in two parts. The layer part (buildLayers) holds
+ * what depends only on the layer shape: the forward op list, the
+ * backward list derived from it, the LM head and the embedding, each
+ * evaluated once on the device. The mapping part (bindLayers) holds
+ * everything else and points its compute steps at those parts: the
+ * recompute step is the forward part scaled by the recomputed
+ * fraction. Step order is load-bearing. It fixes the breakdown-field
  * summation order (so the fold reproduces the historical
  * TrainingBreakdown numbers) and the busy-time prefix the
- * pipeline-bubble step scales. The layer's forward op list is built
- * once; the backward list and the recompute fraction derive from it,
- * and the recompute step replays it.
+ * pipeline-bubble step scales.
  *
  * Inference: prefill lowers to one step per layer op (repeated over
  * the L layers). Decode lowers to one range step per op
@@ -56,16 +60,15 @@ newStep(StepKind kind, std::string lane, std::string name,
     return s;
 }
 
-/** A compute step running @p ops, scaled by @p scale, per instance. */
+/** A compute step running @p part per instance. */
 PlanStep
-computeStep(std::string lane, std::string name, std::string category,
-            std::string phase, std::string label, std::vector<Op> ops,
-            double scale = 1.0)
+partStep(std::string lane, std::string name, std::string category,
+         std::string phase, ComputePart part)
 {
     PlanStep s = newStep(StepKind::Compute, std::move(lane),
                          std::move(name), std::move(category),
                          std::move(phase));
-    s.parts.push_back({std::move(label), std::move(ops), scale});
+    s.parts.push_back(std::move(part));
     return s;
 }
 
@@ -73,7 +76,10 @@ computeStep(std::string lane, std::string name, std::string category,
 PlanStep
 opStep(const Op &op, const char *phase)
 {
-    PlanStep s = computeStep(phase, op.name, "", phase, op.name, {op});
+    ComputePart part;
+    part.label = op.name;
+    part.ops = std::vector<Op>{op};
+    PlanStep s = partStep(phase, op.name, "", phase, std::move(part));
     s.kernelStep = true;
     return s;
 }
@@ -97,10 +103,9 @@ commStep(std::string lane, std::string name, std::string category,
     return s;
 }
 
-} // namespace
-
-KernelPlan
-lowerTraining(const TransformerConfig &cfg, const System &sys,
+/** The checks every training lowering makes before building. */
+void
+checkTraining(const TransformerConfig &cfg, const System &sys,
               const ParallelConfig &par, long long global_batch,
               const TrainingOptions &opts)
 {
@@ -110,7 +115,86 @@ lowerTraining(const TransformerConfig &cfg, const System &sys,
     checkPositive(opts.seqLength, "seqLength");
     checkConfig(opts.seqLength % par.contextParallel == 0,
                 "sequence length must divide by the CP degree");
+}
 
+/** The layer shape a training mapping runs. */
+LayerGraphParams
+layerShape(const ParallelConfig &par, const TrainingOptions &opts)
+{
+    LayerGraphParams gp;
+    gp.batch = par.microbatchSize;
+    gp.seq = opts.seqLength;
+    gp.tensorParallel = par.tensorParallel;
+    gp.sequenceParallel = par.sequenceParallel;
+    gp.precision = opts.precision;
+    gp.training = true;
+    gp.flashAttention = opts.flashAttention;
+    gp.expertParallel = par.expertParallel;
+    gp.contextParallel = par.contextParallel;
+    return gp;
+}
+
+/**
+ * The layer part of a checked configuration. One allocation holds
+ * every list and estimate; the parts point into it.
+ */
+LayerPart
+buildLayers(const TransformerConfig &cfg, const System &sys,
+            const ParallelConfig &par, const TrainingOptions &opts)
+{
+    struct Store
+    {
+        std::vector<Op> forward, backward, head, embedding;
+        KernelEstimate forwardEst, backwardEst, headEst, embeddingEst;
+    };
+    auto store = std::make_shared<Store>();
+    LayerPart lp;
+    lp.shape = layerShape(par, opts);
+    lp.activationBytes = opts.memory.activationBytes;
+    store->forward = layerForwardOps(cfg, lp.shape);
+    store->backward = layerBackwardOps(store->forward);
+
+    // Embedding + LM head of one microbatch. The head GEMM runs
+    // forward + backward (3x); embedding backward is a scatter of
+    // comparable traffic (2x).
+    const long long mb_tokens = par.microbatchSize * opts.seqLength;
+    store->head =
+        headOps(cfg, mb_tokens, par.tensorParallel, opts.precision);
+    Op embed;
+    embed.name = "embedding";
+    embed.kind = OpKind::Stream;
+    embed.streamBytes = 2.0 * double(mb_tokens) * cfg.hiddenSize *
+                        lp.activationBytes;
+    embed.streamFlops = 0.0;
+    embed.streamPrecision = opts.precision;
+    store->embedding.push_back(embed);
+
+    auto part = [&](std::string label, std::vector<Op> &ops,
+                    KernelEstimate &est, double scale) {
+        ComputePart cp;
+        cp.label = std::move(label);
+        cp.ops =
+            OpList(std::shared_ptr<const std::vector<Op>>(store, &ops));
+        cp.scale = scale;
+        est = evaluatePart(sys.device, cp);
+        cp.estimate = std::shared_ptr<const KernelEstimate>(store, &est);
+        return cp;
+    };
+    lp.forward = part("layer-fwd", store->forward, store->forwardEst, 1.0);
+    lp.backward =
+        part("layer-bwd", store->backward, store->backwardEst, 1.0);
+    lp.head = part("head", store->head, store->headEst, 3.0);
+    lp.embedding =
+        part("embedding", store->embedding, store->embeddingEst, 2.0);
+    return lp;
+}
+
+/** The mapping part of a checked configuration around @p layers. */
+KernelPlan
+bindLayers(const LayerPart &layers, const TransformerConfig &cfg,
+           const System &sys, const ParallelConfig &par,
+           long long global_batch, const TrainingOptions &opts)
+{
     const long long tp = par.tensorParallel;
     const long long pp = par.pipelineParallel;
     const long long layers_local = cfg.numLayers / pp;
@@ -135,6 +219,7 @@ lowerTraining(const TransformerConfig &cfg, const System &sys,
                    {"train/layers-per-stage", double(layers_local)}};
     kp.microbatches = m;
     kp.layersPerStage = layers_local;
+    kp.steps.reserve(11);
 
     // Every (microbatch, layer) instance, with both coordinates.
     auto perLayer = [&](PlanStep s) {
@@ -145,60 +230,38 @@ lowerTraining(const TransformerConfig &cfg, const System &sys,
     };
 
     // ---- Per-(microbatch, layer) compute ----------------------------
-    LayerGraphParams gp;
-    gp.batch = par.microbatchSize;
-    gp.seq = opts.seqLength;
-    gp.tensorParallel = tp;
-    gp.sequenceParallel = par.sequenceParallel;
-    gp.precision = opts.precision;
-    gp.training = true;
-    gp.flashAttention = opts.flashAttention;
-    gp.expertParallel = par.expertParallel;
-    gp.contextParallel = par.contextParallel;
-    std::vector<Op> fwd_ops = layerForwardOps(cfg, gp);
-    const double recompute_frac =
-        recomputeForwardFraction(fwd_ops, opts.recompute);
-    const bool recompute = recompute_frac > 0.0;
-    // The layer-recompute step replays a copy of the same list.
-    std::vector<Op> replay = recompute ? fwd_ops : std::vector<Op>();
-
-    PlanStep fwd = perLayer(computeStep(
-        "stage0/fwd", "layer-fwd", "forward", "train", "layer-fwd",
-        std::move(fwd_ops)));
+    PlanStep fwd = perLayer(partStep("stage0/fwd", "layer-fwd",
+                                     "forward", "train", layers.forward));
     fwd.detailLane = "kernels/fwd";
-    PlanStep bwd = perLayer(computeStep(
-        "stage0/bwd", "layer-bwd", "backward", "train", "layer-bwd",
-        layerBackwardOps(fwd.parts[0].ops)));
+    PlanStep bwd = perLayer(partStep("stage0/bwd", "layer-bwd",
+                                     "backward", "train",
+                                     layers.backward));
     bwd.detailLane = "kernels/bwd";
     kp.steps.push_back(std::move(fwd));
     kp.steps.push_back(std::move(bwd));
-    if (recompute)
-        kp.steps.push_back(perLayer(computeStep(
-            "stage0/recompute", "layer-recompute", "recompute", "train",
-            "layer-fwd", std::move(replay), recompute_frac)));
+    // The recompute step replays the forward list: the forward
+    // estimate scaled by the recomputed share of its FLOPs.
+    const double recompute_frac =
+        recomputeForwardFraction(layers.forward.ops, opts.recompute);
+    if (recompute_frac > 0.0) {
+        PlanStep s = perLayer(partStep("stage0/recompute",
+                                       "layer-recompute", "recompute",
+                                       "train", layers.forward));
+        s.parts[0].scale = recompute_frac;
+        kp.steps.push_back(std::move(s));
+    }
 
     // ---- Embedding + LM head (worst stage carries both) -------------
     {
-        const long long mb_tokens = par.microbatchSize * opts.seqLength;
-        Op embed;
-        embed.name = "embedding";
-        embed.kind = OpKind::Stream;
-        embed.streamBytes =
-            2.0 * double(mb_tokens) * cfg.hiddenSize * act_bytes;
-        embed.streamFlops = 0.0;
-        embed.streamPrecision = opts.precision;
-
-        // Forward + backward (2x) for the head GEMM; embedding
-        // backward is a scatter of comparable traffic. With pipeline
-        // parallelism the embedding and the head live on different
-        // stages, so the critical stage carries only the larger part.
-        PlanStep s = computeStep(
-            "stage0/fwd", "embed+head", "embedding", "train", "head",
-            headOps(cfg, mb_tokens, tp, opts.precision), 3.0);
+        // With pipeline parallelism the embedding and the head live on
+        // different stages, so the critical stage carries only the
+        // larger part.
+        PlanStep s = partStep("stage0/fwd", "embed+head", "embedding",
+                              "train", layers.head);
+        s.parts.push_back(layers.embedding);
         s.repeatMicrobatch = m;
         s.coordMicrobatch = true;
         s.combine = (pp > 1) ? PartCombine::Max : PartCombine::Sum;
-        s.parts.push_back({"embedding", {embed}, 2.0});
         kp.steps.push_back(std::move(s));
     }
 
@@ -310,6 +373,40 @@ lowerTraining(const TransformerConfig &cfg, const System &sys,
         params * (3.0 * 4.0 + 2.0 + 3.0 * 4.0 + 2.0);
     kp.steps.push_back(std::move(optimizer));
     return kp;
+}
+
+} // namespace
+
+LayerPart
+lowerLayers(const TransformerConfig &cfg, const System &sys,
+            const ParallelConfig &par, long long global_batch,
+            const TrainingOptions &opts)
+{
+    checkTraining(cfg, sys, par, global_batch, opts);
+    return buildLayers(cfg, sys, par, opts);
+}
+
+KernelPlan
+lowerTraining(const LayerPart &layers, const TransformerConfig &cfg,
+              const System &sys, const ParallelConfig &par,
+              long long global_batch, const TrainingOptions &opts)
+{
+    checkTraining(cfg, sys, par, global_batch, opts);
+    checkConfig(layers.shape == layerShape(par, opts) &&
+                    layers.activationBytes ==
+                        opts.memory.activationBytes,
+                "layer part was built for another layer shape");
+    return bindLayers(layers, cfg, sys, par, global_batch, opts);
+}
+
+KernelPlan
+lowerTraining(const TransformerConfig &cfg, const System &sys,
+              const ParallelConfig &par, long long global_batch,
+              const TrainingOptions &opts)
+{
+    checkTraining(cfg, sys, par, global_batch, opts);
+    return bindLayers(buildLayers(cfg, sys, par, opts), cfg, sys, par,
+                      global_batch, opts);
 }
 
 KernelPlan

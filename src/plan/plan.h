@@ -35,6 +35,7 @@
 #define OPTIMUS_PLAN_PLAN_H
 
 #include <array>
+#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
@@ -78,12 +79,56 @@ enum class BoundBucket {
     Other,        ///< every other op (norms, softmax, elementwise)
 };
 
+/**
+ * An immutable op list, shared by every step and plan that runs it:
+ * the plans bound to one LayerPart share its lists, and the recompute
+ * step shares the forward list. Reads like a const std::vector<Op>.
+ */
+class OpList
+{
+  public:
+    OpList() = default;
+    /** A list of its own. */
+    OpList(std::vector<Op> ops)
+        : ops_(std::make_shared<const std::vector<Op>>(std::move(ops)))
+    {}
+    /** A list owned elsewhere (e.g. an aliasing pointer into a part). */
+    explicit OpList(std::shared_ptr<const std::vector<Op>> ops)
+        : ops_(std::move(ops))
+    {}
+
+    const std::vector<Op> &
+    list() const
+    {
+        static const std::vector<Op> kEmpty;
+        return ops_ ? *ops_ : kEmpty;
+    }
+    operator const std::vector<Op> &() const
+    {
+        return list();
+    }
+    size_t size() const { return list().size(); }
+    bool empty() const { return list().empty(); }
+    const Op &operator[](size_t i) const { return list()[i]; }
+    std::vector<Op>::const_iterator begin() const { return list().begin(); }
+    std::vector<Op>::const_iterator end() const { return list().end(); }
+
+  private:
+    std::shared_ptr<const std::vector<Op>> ops_;
+};
+
 /** One op list inside a compute step, with a time scale factor. */
 struct ComputePart
 {
     std::string label;    ///< evaluateOps label for multi-op lists
-    std::vector<Op> ops;
+    OpList ops;
     double scale = 1.0;   ///< e.g. recompute fraction, fwd+bwd factor
+    /**
+     * The unscaled estimate of ops on the plan's device when a
+     * LayerPart already holds it: evaluatePlan then reads it instead
+     * of evaluating ops again. Null for every other part.
+     */
+    std::shared_ptr<const KernelEstimate> estimate;
 };
 
 /**
@@ -251,7 +296,60 @@ struct EvaluatedPlan
 
 // ---- Lower -----------------------------------------------------------
 
-/** Lower a training configuration (validates its inputs). */
+/**
+ * The layer part of a training plan: what depends only on the layer
+ * shape (LayerGraphParams: tp, sp, microbatch, with the model,
+ * sequence length, precision, FlashAttention, EP and CP of one
+ * problem), the activation bytes and the device. It holds one
+ * layer's forward and backward op lists and the LM-head and
+ * embedding parts, each with its per-instance estimate on the device. Everything else in a
+ * training plan is the mapping part: repeat counts, collectives, the
+ * embedding/head combine, the bubble, the recompute scale and the
+ * optimizer step.
+ *
+ * lowerLayers builds one; lowerTraining binds a mapping of the same
+ * (model, system) and layer shape to it. The parts' lists and
+ * estimates are shared read-only by every plan bound to it, so a
+ * caller with many mappings of one shape (the planner's (tp,
+ * microbatch) groups) lowers and evaluates the layer once. There is no
+ * key and no cache: the caller decides which mappings share a part.
+ */
+struct LayerPart
+{
+    LayerGraphParams shape;  ///< the layer shape the part was built for
+    /** Bytes per activation element of the embedding stream. */
+    double activationBytes = 0.0;
+    ComputePart forward;     ///< "layer-fwd": one layer's forward ops
+    ComputePart backward;    ///< "layer-bwd": derived from forward
+    ComputePart head;        ///< LM head, scale 3 (forward + backward)
+    ComputePart embedding;   ///< embedding stream, scale 2
+};
+
+/**
+ * Lower and evaluate the layer part of a training configuration on
+ * sys.device (validates its inputs as lowerTraining does).
+ */
+LayerPart lowerLayers(const TransformerConfig &cfg, const System &sys,
+                      const ParallelConfig &par, long long global_batch,
+                      const TrainingOptions &opts);
+
+/**
+ * Lower the mapping part of a training configuration around
+ * @p layers, which must have been built by lowerLayers for the same
+ * model and system and for layerShape(par, opts) (validates its
+ * inputs; throws ConfigError on a shape mismatch).
+ */
+KernelPlan lowerTraining(const LayerPart &layers,
+                         const TransformerConfig &cfg, const System &sys,
+                         const ParallelConfig &par, long long global_batch,
+                         const TrainingOptions &opts);
+
+/**
+ * Lower a training configuration (validates its inputs): the mapping
+ * part around a layer part of its own. The compute steps carry their
+ * layer estimates on sys.device, so a training plan is bound to the
+ * system it was lowered for, as its collective scopes already are.
+ */
 KernelPlan lowerTraining(const TransformerConfig &cfg, const System &sys,
                          const ParallelConfig &par, long long global_batch,
                          const TrainingOptions &opts);
@@ -277,6 +375,13 @@ KernelPlan lowerDecode(const TransformerConfig &cfg, const System &sys,
 /** Map every step through the roofline / collective models. */
 EvaluatedPlan evaluatePlan(KernelPlan plan, const System &sys,
                            const EvaluateOptions &opts = {});
+
+/**
+ * Unscaled estimate of one compute part: a single op goes through
+ * evaluateOp directly (bit-identical to the per-kernel detail path),
+ * a list through evaluateOps under the part's label.
+ */
+KernelEstimate evaluatePart(const Device &dev, const ComputePart &part);
 
 /** True for a range step whose op binds the attended span. */
 bool bindsSpan(const PlanStep &st);
@@ -376,6 +481,28 @@ struct InferenceRun
 TrainingRun runTraining(const TransformerConfig &cfg, const System &sys,
                         const ParallelConfig &par, long long global_batch,
                         const TrainingOptions &opts, bool detail = false);
+
+/**
+ * runTraining of a mapping bound to @p layers (see lowerTraining),
+ * with the tail's inputs the caller already holds: @p memory is
+ * trainingMemoryPerDevice of the mapping and @p model_flops is
+ * modelFlopsPerBatch of the problem.
+ */
+TrainingRun runTraining(const LayerPart &layers,
+                        const TransformerConfig &cfg, const System &sys,
+                        const ParallelConfig &par, long long global_batch,
+                        const TrainingOptions &opts,
+                        const TrainingMemory &memory, double model_flops,
+                        bool detail = false);
+
+/**
+ * Model FLOPs of one training batch (forward + backward, no
+ * recompute) on the whole system: the MFU numerator, which no mapping
+ * changes.
+ */
+double modelFlopsPerBatch(const TransformerConfig &cfg,
+                          long long global_batch, long long seq,
+                          Precision precision);
 
 /** Inference analogue of runTraining (KV/weight footprint tail). */
 InferenceRun runInference(const TransformerConfig &cfg, const System &sys,

@@ -17,7 +17,42 @@ namespace plan {
 
 namespace {
 
-/** Model FLOPs for one batch (fwd + bwd, no recompute). */
+/** evaluate -> fold of a lowered training plan, plus the report tail. */
+TrainingRun
+finishTraining(KernelPlan kp, const System &sys,
+               const TrainingOptions &opts, const TrainingMemory &memory,
+               double model_flops, bool detail)
+{
+    EvaluateOptions eo;
+    eo.detail = detail || tracing(opts.trace);
+
+    TrainingRun run;
+    run.plan = evaluatePlan(std::move(kp), sys, eo);
+    FoldedTraining f = foldTraining(run.plan, opts.trace);
+
+    TrainingReport &rep = run.report;
+    rep.time = f.time;
+    rep.layerForward = f.layerForward;
+    rep.layerBackward = f.layerBackward;
+    rep.microbatches = run.plan.plan.microbatches;
+    rep.bubbleFraction = run.plan.plan.bubbleFraction;
+    rep.timePerBatch = rep.time.total();
+
+    rep.memory = memory;
+    rep.modelFlops = model_flops;
+    double system_peak = run.plan.dev.matrixFlops(opts.precision) *
+                         double(sys.totalDevices());
+    rep.mfu = rep.modelFlops / (rep.timePerBatch * system_peak);
+    if (tracing(opts.trace)) {
+        opts.trace->counterSet("train/time-per-batch-s",
+                               rep.timePerBatch);
+        opts.trace->counterSet("train/mfu", rep.mfu);
+    }
+    return run;
+}
+
+} // namespace
+
 double
 modelFlopsPerBatch(const TransformerConfig &cfg, long long global_batch,
                    long long seq, Precision precision)
@@ -41,44 +76,32 @@ modelFlopsPerBatch(const TransformerConfig &cfg, long long global_batch,
     return 3.0 * (layer_fwd * double(cfg.numLayers) + head_fwd);
 }
 
-} // namespace
-
 TrainingRun
 runTraining(const TransformerConfig &cfg, const System &sys,
             const ParallelConfig &par, long long global_batch,
             const TrainingOptions &opts, bool detail)
 {
     KernelPlan kp = lowerTraining(cfg, sys, par, global_batch, opts);
+    TrainingMemory memory =
+        trainingMemoryPerDevice(cfg, par, global_batch, opts.seqLength,
+                                opts.recompute, opts.memory);
+    return finishTraining(std::move(kp), sys, opts, memory,
+                          modelFlopsPerBatch(cfg, global_batch,
+                                             opts.seqLength,
+                                             opts.precision),
+                          detail);
+}
 
-    EvaluateOptions eo;
-    eo.detail = detail || tracing(opts.trace);
-
-    TrainingRun run;
-    run.plan = evaluatePlan(std::move(kp), sys, eo);
-    FoldedTraining f = foldTraining(run.plan, opts.trace);
-
-    TrainingReport &rep = run.report;
-    rep.time = f.time;
-    rep.layerForward = f.layerForward;
-    rep.layerBackward = f.layerBackward;
-    rep.microbatches = run.plan.plan.microbatches;
-    rep.bubbleFraction = run.plan.plan.bubbleFraction;
-    rep.timePerBatch = rep.time.total();
-
-    rep.memory = trainingMemoryPerDevice(cfg, par, global_batch,
-                                         opts.seqLength, opts.recompute,
-                                         opts.memory);
-    rep.modelFlops = modelFlopsPerBatch(cfg, global_batch,
-                                        opts.seqLength, opts.precision);
-    double system_peak = run.plan.dev.matrixFlops(opts.precision) *
-                         double(sys.totalDevices());
-    rep.mfu = rep.modelFlops / (rep.timePerBatch * system_peak);
-    if (tracing(opts.trace)) {
-        opts.trace->counterSet("train/time-per-batch-s",
-                               rep.timePerBatch);
-        opts.trace->counterSet("train/mfu", rep.mfu);
-    }
-    return run;
+TrainingRun
+runTraining(const LayerPart &layers, const TransformerConfig &cfg,
+            const System &sys, const ParallelConfig &par,
+            long long global_batch, const TrainingOptions &opts,
+            const TrainingMemory &memory, double model_flops,
+            bool detail)
+{
+    return finishTraining(
+        lowerTraining(layers, cfg, sys, par, global_batch, opts), sys,
+        opts, memory, model_flops, detail);
 }
 
 InferenceRun

@@ -5,6 +5,7 @@
 #include "exec/exec.h"
 #include "lint/lint.h"
 #include "memory/footprint.h"
+#include "plan/plan.h"
 #include "trace/trace.h"
 #include "util/error.h"
 
@@ -47,14 +48,26 @@ planTraining(const TransformerConfig &model, const System &sys,
     base.memory.activationBytes =
         std::max(1.0, precisionBytes(opts.precision));
 
+    // A candidate keeps its phase-1 footprint and the index of its
+    // layer part. Within one problem the layer shape depends only on
+    // (tp, microbatch), so each such group's first surviving candidate
+    // lowers and evaluates the layer part, and the group's other
+    // candidates bind to it in phase 2.
     struct Candidate
     {
         ParallelConfig parallel;
         TrainingOptions options;
+        TrainingMemory memory;
+        size_t layers = 0;
     };
     std::vector<Candidate> candidates;
+    std::vector<plan::LayerPart> layer_parts;
+    constexpr size_t kNoPart = static_cast<size_t>(-1);
 
     for (long long tp = 1; tp <= sys.devicesPerNode; tp *= 2) {
+        // The layer part of (tp, opts.microbatchSizes[i]), once built.
+        std::vector<size_t> part_of_micro(opts.microbatchSizes.size(),
+                                          kNoPart);
         for (long long pp = 1;
              tp * pp <= sys.totalDevices() && pp <= model.numLayers;
              pp *= 2) {
@@ -67,7 +80,9 @@ planTraining(const TransformerConfig &model, const System &sys,
                     interleaves.push_back(v);
             }
 
-            for (long long micro : opts.microbatchSizes) {
+            for (size_t mi = 0; mi < opts.microbatchSizes.size();
+                 ++mi) {
+                const long long micro = opts.microbatchSizes[mi];
                 for (long long v : interleaves) {
                     ParallelConfig par;
                     par.dataParallel = dp;
@@ -115,8 +130,18 @@ planTraining(const TransformerConfig &model, const System &sys,
                             if (tron)
                                 tr->counterAdd(
                                     "planner/plans-evaluated");
+                            size_t &part = part_of_micro[mi];
+                            if (part == kNoPart) {
+                                part = layer_parts.size();
+                                layer_parts.push_back(plan::lowerLayers(
+                                    model, sys, par, global_batch,
+                                    topts));
+                                if (tron)
+                                    tr->counterAdd(
+                                        "planner/layer-templates");
+                            }
                             candidates.push_back(
-                                Candidate{par, topts});
+                                Candidate{par, topts, mem, part});
                         }
                     }
                 }
@@ -124,24 +149,29 @@ planTraining(const TransformerConfig &model, const System &sys,
         }
     }
 
-    // Phase 2: evaluate every surviving candidate. Evaluations are
-    // independent pure functions, fanned out through the exec layer
-    // and written by slot — the plans vector is bit-identical to a
-    // serial run at any thread count (and sized from the candidate
-    // count up front).
+    // Phase 2: bind every surviving candidate to its group's layer
+    // part and evaluate its mapping. Evaluations are independent pure
+    // functions over read-only layer parts, fanned out through the
+    // exec layer and written by slot — the plans vector is
+    // bit-identical to a serial run at any thread count (and sized
+    // from the candidate count up front).
+    const double model_flops = plan::modelFlopsPerBatch(
+        model, global_batch, opts.seqLength, opts.precision);
     std::vector<TrainingPlan> plans =
         exec::parallelMap(
             static_cast<long long>(candidates.size()), opts.threads,
             [&](long long i) {
                 const Candidate &c =
                     candidates[static_cast<size_t>(i)];
-                TrainingPlan plan;
-                plan.parallel = c.parallel;
-                plan.options = c.options;
-                plan.report = evaluateTraining(
-                    model, sys, c.parallel, global_batch,
-                    plan.options);
-                return plan;
+                TrainingPlan out;
+                out.parallel = c.parallel;
+                out.options = c.options;
+                out.report =
+                    plan::runTraining(layer_parts[c.layers], model, sys,
+                                      c.parallel, global_batch,
+                                      c.options, c.memory, model_flops)
+                        .report;
+                return out;
             });
 
     std::sort(plans.begin(), plans.end(),

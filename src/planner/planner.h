@@ -48,7 +48,9 @@ struct TrainingPlannerOptions
      * Optional trace sink: counts candidate mappings enumerated
      * ("planner/mappings-enumerated"), mappings discarded by lint
      * ("planner/pruned-illegal") or memory ("planner/pruned-memory"),
-     * and full evaluations ("planner/plans-evaluated").
+     * full evaluations ("planner/plans-evaluated") and the layer parts
+     * built, one per (tp, microbatch) group that has a surviving
+     * candidate ("planner/layer-templates").
      */
     TraceSession *trace = nullptr;
 };

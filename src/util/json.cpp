@@ -256,7 +256,11 @@ class Parser
           case '"': return JsonValue::string(stringValue());
           case 't': literal("true"); return JsonValue::boolean(true);
           case 'f': literal("false"); return JsonValue::boolean(false);
-          case 'n': literal("null"); return JsonValue();
+          case 'n':
+            if (text_.compare(pos_, 3, "nan") == 0)
+                return numberValue();
+            literal("null");
+            return JsonValue();
           default: return numberValue();
         }
     }
@@ -370,7 +374,18 @@ class Parser
     numberValue()
     {
         size_t start = pos_;
-        if (consume('-')) {}
+        const bool negative = consume('-');
+        // dump() writes a non-finite number as inf, nan or either
+        // with a minus sign; read those back.
+        if (pos_ < text_.size() &&
+            (text_[pos_] == 'i' || text_[pos_] == 'n')) {
+            const bool inf = text_[pos_] == 'i';
+            literal(inf ? "inf" : "nan");
+            const double v =
+                inf ? std::numeric_limits<double>::infinity()
+                    : std::numeric_limits<double>::quiet_NaN();
+            return JsonValue::number(negative ? -v : v);
+        }
         while (pos_ < text_.size() &&
                (std::isdigit(static_cast<unsigned char>(text_[pos_])) ||
                 text_[pos_] == '.' || text_[pos_] == 'e' ||

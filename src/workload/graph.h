@@ -114,6 +114,8 @@ struct LayerGraphParams
      * in the backward pass for O(s^2) less memory traffic.
      */
     bool flashAttention = false;
+
+    bool operator==(const LayerGraphParams &) const = default;
 };
 
 /** Forward op list for one transformer layer (one device's shard). */

@@ -22,6 +22,7 @@
 
 #include "config/serialize.h"
 #include "hw/presets.h"
+#include "planner/planner.h"
 #include "roofline/gemm.h"
 #include "training/trainer.h"
 #include "workload/graph.h"
@@ -237,6 +238,33 @@ TEST(Alloc, SelectiveRecomputeTrainingStaysUnderBound)
     // backward list, recompute fraction); 77 since.
     EXPECT_LE(n, 77);
     RecordProperty("allocations", static_cast<int>(n));
+}
+
+TEST(Alloc, PlannerAllocationsPerPlanStayUnderBound)
+{
+    // perf_engine's planner sweep: GPT-175B on 16 DGX-A100 nodes,
+    // batch 128, microbatch {1, 2}, every plan kept. Each plan binds
+    // its mapping to the layer part of its (tp, microbatch) group, so
+    // a plan pays for its mapping steps and report, not for the layer
+    // op lists and their evaluation.
+    const TransformerConfig model = models::gpt175b();
+    const System sys = presets::dgxA100(16);
+    TrainingPlannerOptions opts;
+    opts.microbatchSizes = {1, 2};
+    opts.keep = 64;
+    opts.threads = 1;
+    planTraining(model, sys, 128, opts);  // warm the tile cache
+    std::vector<TrainingPlan> plans;
+    const long long n =
+        allocationsOf([&] { plans = planTraining(model, sys, 128, opts); });
+    ASSERT_EQ(plans.size(), 38u);
+    const double per_plan = double(n) / double(plans.size());
+    // 3055 allocations (80.4 per plan) while every candidate lowered
+    // and evaluated its own layer op lists and model-FLOPs lists.
+    EXPECT_LE(per_plan, 99.0);
+    RecordProperty("allocations", static_cast<int>(n));
+    RecordProperty("allocations_per_plan_x10",
+                   static_cast<int>(10.0 * per_plan));
 }
 
 } // namespace

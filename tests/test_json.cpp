@@ -105,7 +105,35 @@ TEST(Json, RejectsMalformedInput)
     EXPECT_THROW(JsonValue::parse("tru"), ConfigError);
     EXPECT_THROW(JsonValue::parse("\"unterminated"), ConfigError);
     EXPECT_THROW(JsonValue::parse("1 2"), ConfigError);
-    EXPECT_THROW(JsonValue::parse("nan"), ConfigError);
+    EXPECT_THROW(JsonValue::parse("na"), ConfigError);
+    EXPECT_THROW(JsonValue::parse("-infinity"), ConfigError);
+    EXPECT_THROW(JsonValue::parse("[nan1]"), ConfigError);
+}
+
+TEST(Json, NonFiniteNumbersRoundTrip)
+{
+    // dump() writes inf, -inf and nan bare; parse() reads them back,
+    // so every document the writer produces can be read again.
+    const double inf = std::numeric_limits<double>::infinity();
+    for (double v : {inf, -inf}) {
+        const std::string text = JsonValue::object()
+                                     .set("m", JsonValue::number(v))
+                                     .dump();
+        JsonValue back = JsonValue::parse(text);
+        EXPECT_EQ(back.at("m").asNumber(), v) << text;
+        EXPECT_EQ(back.dump(), text);
+    }
+    EXPECT_EQ(JsonValue::parse("{\"m\":inf}").at("m").asNumber(), inf);
+    EXPECT_EQ(JsonValue::parse("[-inf]").asArray()[0].asNumber(), -inf);
+
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    const std::string nan_text =
+        JsonValue::array().push(JsonValue::number(nan)).dump();
+    EXPECT_EQ(nan_text, "[nan]");
+    JsonValue nan_back = JsonValue::parse(nan_text);
+    EXPECT_TRUE(std::isnan(nan_back.asArray()[0].asNumber()));
+    EXPECT_EQ(nan_back.dump(), nan_text);
+    EXPECT_TRUE(std::isnan(JsonValue::parse("-nan").asNumber()));
 }
 
 TEST(Json, TypeMismatchThrows)

@@ -13,6 +13,7 @@
 
 #include <cmath>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "comm/collective.h"
@@ -22,6 +23,7 @@
 #include "plan/plan.h"
 #include "roofline/gemm.h"
 #include "trace/trace.h"
+#include "util/error.h"
 #include "workload/presets.h"
 
 namespace optimus {
@@ -613,6 +615,54 @@ TEST(Plan, RecomputeReplaysTheForwardOpList)
         EXPECT_EQ(rec->parts[0].scale,
                   recomputeForwardFraction(ops, Recompute::Selective));
     }
+}
+
+TEST(Plan, MappingsShareTheirLayerPart)
+{
+    // Two mappings of one layer shape (tp8, microbatch 1, SP) bound to
+    // one layer part: each plan equals its standalone lowering, and
+    // its layer steps share the part's lists and estimates instead of
+    // holding copies. A mapping of another shape is refused.
+    TransformerConfig model;
+    System sys;
+    ParallelConfig par;
+    TrainingOptions opts;
+    table1Config(&model, &sys, &par, &opts);
+    const plan::LayerPart layers =
+        plan::lowerLayers(model, sys, par, 64, opts);
+
+    ParallelConfig deeper = par;
+    deeper.pipelineParallel = 4;
+    deeper.dataParallel = 2;
+    TrainingOptions full = opts;
+    full.recompute = Recompute::Full;
+    for (const auto &[mapping, o] :
+         {std::make_pair(par, opts), std::make_pair(deeper, full)}) {
+        plan::EvaluatedPlan bound = plan::evaluatePlan(
+            plan::lowerTraining(layers, model, sys, mapping, 64, o), sys);
+        plan::EvaluatedPlan alone = plan::evaluatePlan(
+            plan::lowerTraining(model, sys, mapping, 64, o), sys);
+        ASSERT_EQ(bound.evals.size(), alone.evals.size());
+        for (size_t i = 0; i < bound.evals.size(); ++i) {
+            EXPECT_EQ(bound.plan.steps[i].name, alone.plan.steps[i].name);
+            EXPECT_EQ(bound.evals[i].total, alone.evals[i].total);
+        }
+        for (const plan::PlanStep &st : bound.plan.steps) {
+            if (st.name == "layer-fwd" || st.name == "layer-recompute") {
+                EXPECT_EQ(&st.parts[0].ops.list(),
+                          &layers.forward.ops.list());
+                EXPECT_EQ(st.parts[0].estimate, layers.forward.estimate);
+            }
+            if (st.name == "layer-bwd") {
+                EXPECT_EQ(st.parts[0].estimate, layers.backward.estimate);
+            }
+        }
+    }
+
+    ParallelConfig other = par;
+    other.microbatchSize = 2;
+    EXPECT_THROW(plan::lowerTraining(layers, model, sys, other, 64, opts),
+                 ConfigError);
 }
 
 } // namespace

@@ -3,13 +3,18 @@
  * Tests for the parallelization planner.
  */
 
+#include <map>
 #include <string>
+#include <utility>
 
 #include <gtest/gtest.h>
 
 #include "hw/presets.h"
 #include "memory/footprint.h"
+#include "plan/plan.h"
 #include "planner/planner.h"
+#include "roofline/gemm.h"
+#include "trace/trace.h"
 #include "util/error.h"
 #include "util/units.h"
 #include "workload/presets.h"
@@ -180,6 +185,52 @@ TEST(TrainingPlanner, PlansEqualStandaloneEvaluation)
             EXPECT_TRUE(recompute[0] && recompute[1] && recompute[2]);
         }
     }
+}
+
+TEST(TrainingPlanner, BuildsOneLayerPartPerTpMicrobatchGroup)
+{
+    // Inside one problem the layer op lists depend only on (tp,
+    // microbatch), so the planner lowers and evaluates them once per
+    // such group among the surviving candidates, not once per plan.
+    const TransformerConfig model = models::gpt175b();
+    const System sys = presets::dgxA100(16);
+    TraceSession session;
+    TrainingPlannerOptions opts;
+    opts.microbatchSizes = {1, 2};
+    opts.zeroStages = {0, 1};
+    opts.keep = 100000;  // every surviving candidate
+    opts.trace = &session;
+
+    auto lookups = [] {
+        TileCacheStats st = tileCacheStats();
+        return st.hits + st.misses;
+    };
+    const unsigned long long before = lookups();
+    std::vector<TrainingPlan> plans = planTraining(model, sys, 128, opts);
+    const unsigned long long planner_lookups = lookups() - before;
+
+    std::map<std::pair<long long, long long>, const TrainingPlan *>
+        groups;
+    for (const TrainingPlan &p : plans)
+        groups.emplace(std::make_pair(p.parallel.tensorParallel,
+                                      p.parallel.microbatchSize),
+                       &p);
+    EXPECT_EQ(session.counter("planner/layer-templates"),
+              double(groups.size()));
+    EXPECT_LT(groups.size() * 4, plans.size());
+
+    // Every tile-search lookup the call made came from those layer
+    // parts: the mapping steps reuse their estimates, so the layer
+    // lists are evaluated once per group, as they are lowered.
+    unsigned long long part_lookups = 0;
+    for (const auto &g : groups) {
+        const unsigned long long b = lookups();
+        plan::lowerLayers(model, sys, g.second->parallel, 128,
+                          g.second->options);
+        part_lookups += lookups() - b;
+    }
+    EXPECT_GT(part_lookups, 0u);
+    EXPECT_EQ(planner_lookups, part_lookups);
 }
 
 TEST(ServingPlanner, RanksByPerDeviceThroughput)

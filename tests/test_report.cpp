@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <map>
 #include <string>
 #include <vector>
@@ -112,6 +113,24 @@ TEST(RunRecord, JsonRoundTripIsLossless)
     // The loss-free contract is what makes self-diff exact.
     report::RunDiff diff = report::diffRuns(rec, back);
     EXPECT_TRUE(diff.empty());
+}
+
+TEST(RunRecord, InfiniteMetricReadsBack)
+{
+    // A record with one non-finite metric is written as a file that
+    // recordFromJson and diffRuns can read back: the ledger's on-disk
+    // path, then a diff against the record it came from.
+    const double inf = std::numeric_limits<double>::infinity();
+    report::RunRecord rec = smallTrainingRecord();
+    rec.setMetric("time/stalled", inf);
+    report::RunRecord back;
+    ASSERT_NO_THROW(back = report::recordFromJson(
+                        JsonValue::parse(report::toJson(rec).dump(2))));
+    EXPECT_EQ(back.metric("time/stalled"), inf);
+    report::RunDiff diff;
+    ASSERT_NO_THROW(diff = report::diffRuns(rec, back));
+    EXPECT_NO_THROW(report::diffText(diff, rec, back, {}));
+    EXPECT_NO_THROW(report::diffRuns(smallTrainingRecord(), back));
 }
 
 TEST(RunDiff, SelfDiffIsEmptyAndClean)
