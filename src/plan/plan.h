@@ -80,41 +80,32 @@ enum class BoundBucket {
 };
 
 /**
- * An immutable op list, shared by every step and plan that runs it:
- * the plans bound to one LayerPart share its lists, and the recompute
- * step shares the forward list. Reads like a const std::vector<Op>.
+ * An op list read like a const std::vector<Op>: either a list of its
+ * own, or one shared with other parts without a copy (the plans bound
+ * to one LayerPart share its lists, and the recompute step shares the
+ * forward list).
  */
 class OpList
 {
   public:
     OpList() = default;
     /** A list of its own. */
-    OpList(std::vector<Op> ops)
-        : ops_(std::make_shared<const std::vector<Op>>(std::move(ops)))
-    {}
-    /** A list owned elsewhere (e.g. an aliasing pointer into a part). */
+    OpList(std::vector<Op> ops) : own_(std::move(ops)) {}
+    /** A list shared with its other holders. */
     explicit OpList(std::shared_ptr<const std::vector<Op>> ops)
-        : ops_(std::move(ops))
+        : shared_(std::move(ops))
     {}
 
-    const std::vector<Op> &
-    list() const
-    {
-        static const std::vector<Op> kEmpty;
-        return ops_ ? *ops_ : kEmpty;
-    }
-    operator const std::vector<Op> &() const
-    {
-        return list();
-    }
+    const std::vector<Op> &list() const { return shared_ ? *shared_ : own_; }
+    operator const std::vector<Op> &() const { return list(); }
     size_t size() const { return list().size(); }
-    bool empty() const { return list().empty(); }
     const Op &operator[](size_t i) const { return list()[i]; }
     std::vector<Op>::const_iterator begin() const { return list().begin(); }
     std::vector<Op>::const_iterator end() const { return list().end(); }
 
   private:
-    std::shared_ptr<const std::vector<Op>> ops_;
+    std::vector<Op> own_;
+    std::shared_ptr<const std::vector<Op>> shared_;
 };
 
 /** One op list inside a compute step, with a time scale factor. */
@@ -302,10 +293,10 @@ struct EvaluatedPlan
  * sequence length, precision, FlashAttention, EP and CP of one
  * problem), the activation bytes and the device. It holds one
  * layer's forward and backward op lists and the LM-head and
- * embedding parts, each with its per-instance estimate on the device. Everything else in a
- * training plan is the mapping part: repeat counts, collectives, the
- * embedding/head combine, the bubble, the recompute scale and the
- * optimizer step.
+ * embedding parts, each with its per-instance estimate on the device.
+ * Everything else in a training plan is the mapping part: repeat
+ * counts, collectives, the embedding/head combine, the bubble, the
+ * recompute scale and the optimizer step.
  *
  * lowerLayers builds one; lowerTraining binds a mapping of the same
  * (model, system) and layer shape to it. The parts' lists and
@@ -336,8 +327,9 @@ LayerPart lowerLayers(const TransformerConfig &cfg, const System &sys,
 /**
  * Lower the mapping part of a training configuration around
  * @p layers, which must have been built by lowerLayers for the same
- * model and system and for layerShape(par, opts) (validates its
- * inputs; throws ConfigError on a shape mismatch).
+ * model and system and for the layer shape and activation bytes of
+ * (par, opts) (validates its inputs; throws ConfigError when the shape
+ * or the activation bytes differ).
  */
 KernelPlan lowerTraining(const LayerPart &layers,
                          const TransformerConfig &cfg, const System &sys,

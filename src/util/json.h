@@ -38,7 +38,11 @@ class JsonValue
     /** Construct an empty object. */
     static JsonValue object();
 
-    /** Parse a JSON document; throws ConfigError on malformed input. */
+    /**
+     * Parse a JSON document, including the bare inf, -inf and nan
+     * tokens dump() writes for non-finite numbers; throws ConfigError
+     * on malformed input.
+     */
     static JsonValue parse(const std::string &text);
 
     Type type() const { return static_cast<Type>(value_.index()); }
