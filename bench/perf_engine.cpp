@@ -208,20 +208,63 @@ writeTraceOverheadReport()
     return out;
 }
 
+/** Nanoseconds since @p t0. */
+double
+nsSince(std::chrono::steady_clock::time_point t0)
+{
+    return std::chrono::duration<double, std::nano>(
+               std::chrono::steady_clock::now() - t0)
+        .count();
+}
+
 /**
- * Evaluator overhead of one plan: best-of time of evaluatePlan over
- * best-of time of the raw evaluateOp / systemCollective calls on the
- * same steps. Both sides run on the same host against the same warm
- * tile cache, so the ratio is machine-independent: it measures only
- * what the evaluator adds on top of the models.
+ * Best of 15 reps of @p evaluate over best of 15 reps of @p raw, in
+ * time per iteration. Each rep runs about 20k model calls (@p calls
+ * per iteration), so a sub-millisecond training plan and a long decode
+ * plan are timed equally well. @p evaluate(iters) runs its iterations
+ * and returns the nanoseconds it timed; @p raw() is one iteration of
+ * the bare model calls. Both sides run on the same host against the
+ * same warm tile cache, so the ratio is machine-independent: it
+ * measures only what the evaluator adds on top of the models.
+ */
+template <class Evaluate, class Raw>
+double
+overRaw(long long calls, Evaluate evaluate, Raw raw)
+{
+    const int reps = 15;
+    const int iters =
+        std::max<int>(3, int(20000 / std::max<long long>(1, calls)));
+    evaluate(1);  // warm
+    double evaluate_ns = 1e300;
+    double raw_ns = 1e300;
+    for (int r = 0; r < reps; ++r) {
+        evaluate_ns = std::min(evaluate_ns, evaluate(iters) / iters);
+        auto t0 = std::chrono::steady_clock::now();
+        for (int i = 0; i < iters; ++i)
+            benchmark::DoNotOptimize(raw());
+        raw_ns = std::min(raw_ns, nsSince(t0) / iters);
+    }
+    return evaluate_ns / raw_ns;
+}
+
+/** Model time of one collective step. */
+double
+collectiveTime(const System &sys, const plan::PlanStep &st)
+{
+    return systemCollective(sys, st.collective, st.volume, st.groupSize,
+                            st.scope, st.algorithm)
+        .time;
+}
+
+/**
+ * Evaluator overhead of an inference plan: evaluatePlan over the raw
+ * evaluateOp / systemCollective calls it makes. A range step that
+ * binds the attended span makes one call per token (its op rebound to
+ * the token's span), every other step one call per op.
  */
 double
-planOverRaw(const plan::KernelPlan &kp, const System &sys)
+inferOverRaw(const plan::KernelPlan &kp, const System &sys)
 {
-    using clock = std::chrono::steady_clock;
-    // The raw side makes the model calls the evaluator makes: a range
-    // step that binds the attended span once per token (its op rebound
-    // to the token's span), every other step once.
     auto raw = [&] {
         double s = 0.0;
         for (const plan::PlanStep &st : kp.steps) {
@@ -234,48 +277,79 @@ planOverRaw(const plan::KernelPlan &kp, const System &sys)
                     for (const Op &op : part.ops)
                         s += evaluateOp(sys.device, op).time;
             else if (st.kind == plan::StepKind::Collective)
-                s += systemCollective(sys, st.collective, st.volume,
-                                      st.groupSize, st.scope,
-                                      st.algorithm)
-                         .time;
+                s += collectiveTime(sys, st);
         }
         return s;
     };
     long long calls = 0;
     for (const plan::PlanStep &st : kp.steps)
         calls += plan::bindsSpan(st) ? st.tokens : 1;
-    // Best of 15 reps, each about 20k model calls long, so a
-    // sub-millisecond training plan and a long decode plan are timed
-    // equally well.
-    const int reps = 15;
-    const int iters =
-        std::max<int>(3, int(20000 / std::max<long long>(1, calls)));
-    auto per_iter_ns = [&](clock::time_point t0) {
-        return std::chrono::duration<double, std::nano>(clock::now() -
-                                                        t0)
-                   .count() /
-               iters;
-    };
-
-    benchmark::DoNotOptimize(plan::evaluatePlan(kp, sys));  // warm
-    double evaluate_ns = 1e300;
-    double raw_ns = 1e300;
-    for (int r = 0; r < reps; ++r) {
+    auto evaluate = [&](int iters) {
         // Plan copies and result destruction stay outside the timer.
         std::vector<plan::KernelPlan> in(size_t(iters), kp);
         std::vector<plan::EvaluatedPlan> out;
         out.reserve(size_t(iters));
-        clock::time_point t0 = clock::now();
+        auto t0 = std::chrono::steady_clock::now();
         for (plan::KernelPlan &p : in)
             out.push_back(plan::evaluatePlan(std::move(p), sys));
-        evaluate_ns = std::min(evaluate_ns, per_iter_ns(t0));
+        return nsSince(t0);
+    };
+    return overRaw(calls, evaluate, raw);
+}
 
-        t0 = clock::now();
-        for (int i = 0; i < iters; ++i)
-            benchmark::DoNotOptimize(raw());
-        raw_ns = std::min(raw_ns, per_iter_ns(t0));
+/**
+ * Evaluator overhead of a training evaluation: lowerTraining plus
+ * evaluatePlan over the raw model calls that pair makes. Lowering
+ * evaluates each layer part once and the plan's steps carry that
+ * estimate (ComputePart::estimate), so the raw side evaluates the ops
+ * of each distinct estimated part once, the ops of every part without
+ * an estimate, and each collective once.
+ */
+double
+trainOverRaw(const TransformerConfig &model, const System &sys,
+             const ParallelConfig &par)
+{
+    const plan::KernelPlan kp =
+        plan::lowerTraining(model, sys, par, 64, {});
+    std::vector<const plan::ComputePart *> parts;
+    std::vector<const plan::PlanStep *> collectives;
+    std::vector<const KernelEstimate *> seen;
+    for (const plan::PlanStep &st : kp.steps) {
+        if (st.kind == plan::StepKind::Collective)
+            collectives.push_back(&st);
+        for (const plan::ComputePart &part : st.parts) {
+            const KernelEstimate *est = part.estimate.get();
+            if (est != nullptr &&
+                std::find(seen.begin(), seen.end(), est) != seen.end())
+                continue;
+            if (est != nullptr)
+                seen.push_back(est);
+            parts.push_back(&part);
+        }
     }
-    return evaluate_ns / raw_ns;
+    auto raw = [&] {
+        double s = 0.0;
+        for (const plan::ComputePart *part : parts)
+            for (const Op &op : part->ops)
+                s += evaluateOp(sys.device, op).time;
+        for (const plan::PlanStep *st : collectives)
+            s += collectiveTime(sys, *st);
+        return s;
+    };
+    long long calls = (long long)collectives.size();
+    for (const plan::ComputePart *part : parts)
+        calls += (long long)part->ops.size();
+    auto evaluate = [&](int iters) {
+        // Result destruction stays outside the timer.
+        std::vector<plan::EvaluatedPlan> out;
+        out.reserve(size_t(iters));
+        auto t0 = std::chrono::steady_clock::now();
+        for (int i = 0; i < iters; ++i)
+            out.push_back(plan::evaluatePlan(
+                plan::lowerTraining(model, sys, par, 64, {}), sys));
+        return nsSince(t0);
+    };
+    return overRaw(calls, evaluate, raw);
 }
 
 /**
@@ -461,11 +535,9 @@ writeSweepSpeedupReport()
     train_par.tensorParallel = 8;
     train_par.pipelineParallel = 8;
     System train_sys = presets::dgxA100(8);
-    double train_over_raw = planOverRaw(
-        plan::lowerTraining(model, train_sys, train_par, 64, {}),
-        train_sys);
+    double train_over_raw = trainOverRaw(model, train_sys, train_par);
     System infer_sys = presets::dgxA100(1);
-    double infer_over_raw = planOverRaw(
+    double infer_over_raw = inferOverRaw(
         plan::lowerInference(models::llama2_13b(), infer_sys, {}),
         infer_sys);
 
@@ -538,7 +610,7 @@ writeSweepSpeedupReport()
               << planner_divergences + dse_divergences
               << " divergences), tile cache "
               << 100.0 * cache.hitRate()
-              << "% hits, evaluatePlan over raw models "
+              << "% hits, evaluator over raw models "
               << train_over_raw << "x train / " << infer_over_raw
               << "x infer -> BENCH_sweep_speedup.json\n";
     return out;

@@ -1,10 +1,12 @@
 #include "config/serialize.h"
 
-#include <functional>
-#include <map>
+#include <algorithm>
+#include <concepts>
+#include <type_traits>
 
 #include "hw/presets.h"
 #include "util/error.h"
+#include "util/names.h"
 #include "workload/presets.h"
 
 namespace optimus {
@@ -12,83 +14,288 @@ namespace config {
 
 namespace {
 
-const std::map<std::string, std::function<Device()>> &
-deviceRegistry()
+// ---- Name tables ---------------------------------------------------------
+
+constexpr Named<Device (*)()> kDevicePresets[] = {
+    {"a100-80gb", presets::a100_80gb}, {"h100-sxm", presets::h100_sxm},
+    {"h200-sxm", presets::h200_sxm}, {"b100", presets::b100},
+    {"b200", presets::b200}, {"tpu-v4", presets::tpuV4},
+    {"tpu-v5p", presets::tpuV5p},
+};
+
+constexpr Named<TransformerConfig (*)()> kModelPresets[] = {
+    {"gpt-7b", models::gpt7b}, {"gpt-22b", models::gpt22b},
+    {"gpt-175b", models::gpt175b}, {"gpt-310b", models::gpt310b},
+    {"gpt-530b", models::gpt530b}, {"gpt-1008b", models::gpt1008b},
+    {"llama2-7b", models::llama2_7b}, {"llama2-13b", models::llama2_13b},
+    {"llama2-70b", models::llama2_70b},
+    {"mixtral-8x7b", models::mixtral8x7b},
+    {"llama3-8b", models::llama3_8b}, {"llama3-70b", models::llama3_70b},
+    {"llama3-405b", models::llama3_405b},
+};
+
+constexpr Named<System (*)(int)> kSystemPresets[] = {
+    {"dgx-a100", presets::dgxA100}, {"dgx-h100", presets::dgxH100},
+    {"dgx-h100-nvs", presets::dgxH100Nvs},
+    {"dgx-h200-nvs", presets::dgxH200Nvs},
+    {"dgx-b200", presets::dgxB200}, {"dgx-b200-nvs", presets::dgxB200Nvs},
+    {"tpu-v4-pod", presets::tpuV4Pod}, {"tpu-v5p-pod", presets::tpuV5pPod},
+};
+
+constexpr Named<NetworkLink (*)()> kLinkPresets[] = {
+    {"nvlink3", presets::nvlink3}, {"nvlink4", presets::nvlink4},
+    {"nvlink5", presets::nvlink5}, {"hdr-ib", presets::hdrInfiniBand},
+    {"ndr-ib", presets::ndrInfiniBand}, {"xdr-ib", presets::xdrInfiniBand},
+};
+
+constexpr Named<MlpKind> kMlpNames[] = {
+    {"swiglu", MlpKind::SwiGlu}, {"gelu", MlpKind::GeluTwoLayer},
+};
+
+/**
+ * What @p found holds (an optional or a table row), or a ConfigError
+ * "unknown <what>: <name>". Every preset and enum lookup ends here.
+ */
+template <class Found>
+auto
+known(const Found &found, const char *what, const std::string &name)
 {
-    static const std::map<std::string, std::function<Device()>> reg = {
-        {"a100-80gb", presets::a100_80gb},
-        {"h100-sxm", presets::h100_sxm},
-        {"h200-sxm", presets::h200_sxm},
-        {"b100", presets::b100},
-        {"b200", presets::b200},
-        {"tpu-v4", presets::tpuV4},
-        {"tpu-v5p", presets::tpuV5p},
-    };
-    return reg;
+    if (!found)
+        throw ConfigError(std::string("unknown ") + what + ": " + name);
+    return *found;
 }
 
-const std::map<std::string, std::function<TransformerConfig()>> &
-modelRegistry()
+/** The spellings of a preset table in byte order. */
+template <class Make, std::size_t N>
+std::vector<std::string>
+sortedNames(const Named<Make> (&table)[N])
 {
-    static const std::map<std::string,
-                          std::function<TransformerConfig()>>
-        reg = {
-            {"gpt-7b", models::gpt7b},
-            {"gpt-22b", models::gpt22b},
-            {"gpt-175b", models::gpt175b},
-            {"gpt-310b", models::gpt310b},
-            {"gpt-530b", models::gpt530b},
-            {"gpt-1008b", models::gpt1008b},
-            {"llama2-7b", models::llama2_7b},
-            {"llama2-13b", models::llama2_13b},
-            {"llama2-70b", models::llama2_70b},
-            {"mixtral-8x7b", models::mixtral8x7b},
-            {"llama3-8b", models::llama3_8b},
-            {"llama3-70b", models::llama3_70b},
-            {"llama3-405b", models::llama3_405b},
-        };
-    return reg;
+    std::vector<std::string> names;
+    for (const Named<Make> &row : table)
+        names.emplace_back(row.name);
+    std::sort(names.begin(), names.end());
+    return names;
 }
 
-const std::map<std::string, std::function<System(int)>> &
-systemRegistry()
+// ---- Member codecs -------------------------------------------------------
+// encode() writes one member as a JSON value and decode() reads it
+// back; each member type's pair sits together.
+
+JsonValue encode(const std::string &s) { return JsonValue::string(s); }
+void decode(const JsonValue &v, std::string &s) { s = v.asString(); }
+
+JsonValue encode(double x) { return JsonValue::number(x); }
+void decode(const JsonValue &v, double &x) { x = v.asNumber(); }
+
+JsonValue encode(bool b) { return JsonValue::boolean(b); }
+void decode(const JsonValue &v, bool &b) { b = v.asBool(); }
+
+template <std::integral I>
+JsonValue encode(I n) { return JsonValue::number(double(n)); }
+template <std::integral I>
+void decode(const JsonValue &v, I &n) { n = static_cast<I>(v.asInt()); }
+
+// Enums travel by name.
+JsonValue encode(Precision p) { return JsonValue::string(precisionName(p)); }
+JsonValue encode(Recompute r) { return JsonValue::string(recomputeName(r)); }
+JsonValue encode(MlpKind m) { return JsonValue::string(nameOf(kMlpNames, m)); }
+JsonValue
+encode(PipelineSchedule s)
 {
-    static const std::map<std::string, std::function<System(int)>>
-        reg = {
-            {"dgx-a100", presets::dgxA100},
-            {"dgx-h100", presets::dgxH100},
-            {"dgx-h100-nvs", presets::dgxH100Nvs},
-            {"dgx-h200-nvs", presets::dgxH200Nvs},
-            {"dgx-b200", presets::dgxB200},
-            {"dgx-b200-nvs", presets::dgxB200Nvs},
-        {"tpu-v4-pod", presets::tpuV4Pod},
-        {"tpu-v5p-pod", presets::tpuV5pPod},
-        };
-    return reg;
+    return JsonValue::string(scheduleName(s));
 }
 
-Recompute
-recomputeFromName(const std::string &name)
+void
+decode(const JsonValue &v, Precision &p)
 {
-    if (name == "none")
-        return Recompute::None;
-    if (name == "selective")
-        return Recompute::Selective;
-    if (name == "full")
-        return Recompute::Full;
-    throw ConfigError("unknown recompute strategy: " + name);
+    p = parsePrecision(v.asString());
+}
+void
+decode(const JsonValue &v, Recompute &r)
+{
+    r = known(recomputeFromName(v.asString()), "recompute strategy",
+              v.asString());
+}
+void
+decode(const JsonValue &v, PipelineSchedule &s)
+{
+    s = known(scheduleFromName(v.asString()), "pipeline schedule",
+              v.asString());
+}
+void
+decode(const JsonValue &v, MlpKind &m)
+{
+    m = known(findNamed(kMlpNames, v.asString()), "mlp kind", v.asString());
 }
 
-PipelineSchedule
-scheduleFromName(const std::string &name)
+/** Device throughput, keyed by precision name. */
+JsonValue
+encode(const std::map<Precision, double> &throughput)
 {
-    if (name == "gpipe")
-        return PipelineSchedule::GPipe;
-    if (name == "1f1b")
-        return PipelineSchedule::OneFOneB;
-    if (name == "interleaved")
-        return PipelineSchedule::Interleaved1F1B;
-    throw ConfigError("unknown pipeline schedule: " + name);
+    JsonValue j = JsonValue::object();
+    for (const auto &[p, f] : throughput)
+        j.set(precisionName(p), JsonValue::number(f));
+    return j;
+}
+void
+decode(const JsonValue &v, std::map<Precision, double> &throughput)
+{
+    throughput.clear();
+    for (const auto &[k, f] : v.asObject())
+        throughput[parsePrecision(k)] = f.asNumber();
+}
+
+/** A memory hierarchy; name, capacity and bandwidth are required. */
+JsonValue
+encode(const std::vector<MemoryLevel> &levels)
+{
+    JsonValue j = JsonValue::array();
+    for (const MemoryLevel &m : levels) {
+        JsonValue level = JsonValue::object();
+        level.set("name", JsonValue::string(m.name));
+        level.set("capacity", JsonValue::number(m.capacity));
+        level.set("bandwidth", JsonValue::number(m.bandwidth));
+        level.set("utilization", JsonValue::number(m.utilization));
+        j.push(std::move(level));
+    }
+    return j;
+}
+void
+decode(const JsonValue &v, std::vector<MemoryLevel> &levels)
+{
+    levels.clear();
+    for (const JsonValue &level : v.asArray())
+        levels.push_back({level.at("name").asString(),
+                          level.at("capacity").asNumber(),
+                          level.at("bandwidth").asNumber(),
+                          level.getNumber("utilization", 0.85)});
+}
+
+// ---- Field lists -----------------------------------------------------------
+// Each flat config type names its fields once, as (JSON key, member)
+// in document order. toJson walks a list with encode() and the
+// matching *FromJson walks it with decode(), so the writer and the
+// reader cannot disagree. A reader-only default is an explicit step
+// after the walk; the keys those steps test are named once here.
+
+constexpr const char *kNumKvHeads = "numKvHeads";
+constexpr const char *kActivationBytes = "activationBytes";
+constexpr const char *kKvPrecision = "kvPrecision";
+
+/** @p C is @p T or const @p T: one list serves reader and writer. */
+template <class C, class T>
+concept MaybeConst = std::same_as<std::remove_const_t<C>, T>;
+
+template <MaybeConst<NetworkLink> C, class Visit>
+void
+fields(C &l, Visit &&visit)
+{
+    visit("name", l.name);
+    visit("bandwidth", l.bandwidth);
+    visit("latency", l.latency);
+    visit("halfUtilVolume", l.halfUtilVolume);
+    visit("maxUtilization", l.maxUtilization);
+    visit("collectiveOverhead", l.collectiveOverhead);
+}
+
+template <MaybeConst<Device> C, class Visit>
+void
+fields(C &d, Visit &&visit)
+{
+    visit("name", d.name);
+    visit("matrixThroughput", d.matrixThroughput);
+    visit("vectorThroughput", d.vectorThroughput);
+    visit("mem", d.mem);
+    visit("matrixMaxEfficiency", d.matrixMaxEfficiency);
+    visit("gemmKHalf", d.gemmKHalf);
+    visit("gemvDramUtilization", d.gemvDramUtilization);
+    visit("kernelLaunchOverhead", d.kernelLaunchOverhead);
+}
+
+template <MaybeConst<TransformerConfig> C, class Visit>
+void
+fields(C &c, Visit &&visit)
+{
+    visit("name", c.name);
+    visit("numLayers", c.numLayers);
+    visit("hiddenSize", c.hiddenSize);
+    visit("numHeads", c.numHeads);
+    visit(kNumKvHeads, c.numKvHeads);
+    visit("ffnHidden", c.ffnHidden);
+    visit("vocabSize", c.vocabSize);
+    visit("maxSeqLength", c.maxSeqLength);
+    visit("mlp", c.mlp);
+    visit("numExperts", c.numExperts);
+    visit("topK", c.topK);
+    visit("slidingWindow", c.slidingWindow);
+}
+
+template <MaybeConst<ParallelConfig> C, class Visit>
+void
+fields(C &p, Visit &&visit)
+{
+    visit("dataParallel", p.dataParallel);
+    visit("tensorParallel", p.tensorParallel);
+    visit("pipelineParallel", p.pipelineParallel);
+    visit("sequenceParallel", p.sequenceParallel);
+    visit("schedule", p.schedule);
+    visit("microbatchSize", p.microbatchSize);
+    visit("interleavedStages", p.interleavedStages);
+    visit("expertParallel", p.expertParallel);
+    visit("contextParallel", p.contextParallel);
+}
+
+// The trace pointer and collectiveAlgorithm are runtime state, not
+// configuration, and stay out of the document.
+template <MaybeConst<TrainingOptions> C, class Visit>
+void
+fields(C &o, Visit &&visit)
+{
+    visit("precision", o.precision);
+    visit("recompute", o.recompute);
+    visit("seqLength", o.seqLength);
+    visit("dpOverlapFraction", o.dpOverlapFraction);
+    visit("tpOverlapFraction", o.tpOverlapFraction);
+    visit("flashAttention", o.flashAttention);
+    visit("zeroStage", o.memory.zeroStage);
+    visit(kActivationBytes, o.memory.activationBytes);
+}
+
+template <MaybeConst<InferenceOptions> C, class Visit>
+void
+fields(C &o, Visit &&visit)
+{
+    visit("precision", o.precision);
+    visit("tensorParallel", o.tensorParallel);
+    visit("pipelineParallel", o.pipelineParallel);
+    visit("batch", o.batch);
+    visit("promptLength", o.promptLength);
+    visit("generateLength", o.generateLength);
+    visit("flashAttention", o.flashAttention);
+    visit(kKvPrecision, o.kvPrecision);
+}
+
+/** Every listed field of @p x, in list order. */
+template <class T>
+JsonValue
+writeFields(const T &x)
+{
+    JsonValue j = JsonValue::object();
+    fields(x, [&j](const char *key, const auto &m) {
+        j.set(key, encode(m));
+    });
+    return j;
+}
+
+/** Each listed field present in @p j; absent ones keep their value. */
+template <class T>
+void
+readFields(const JsonValue &j, T &x)
+{
+    fields(x, [&j](const char *key, auto &m) {
+        if (j.has(key))
+            decode(j.at(key), m);
+    });
 }
 
 } // namespace
@@ -96,109 +303,45 @@ scheduleFromName(const std::string &name)
 std::vector<std::string>
 devicePresetNames()
 {
-    std::vector<std::string> out;
-    for (const auto &[name, fn] : deviceRegistry())
-        out.push_back(name);
-    return out;
+    return sortedNames(kDevicePresets);
 }
 
 Device
 devicePreset(const std::string &name)
 {
-    auto it = deviceRegistry().find(name);
-    checkConfig(it != deviceRegistry().end(),
-                "unknown device preset: " + name);
-    return it->second();
+    return known(findNamed(kDevicePresets, name), "device preset", name)();
 }
 
 std::vector<std::string>
 modelPresetNames()
 {
-    std::vector<std::string> out;
-    for (const auto &[name, fn] : modelRegistry())
-        out.push_back(name);
-    return out;
+    return sortedNames(kModelPresets);
 }
 
 TransformerConfig
 modelPreset(const std::string &name)
 {
-    auto it = modelRegistry().find(name);
-    checkConfig(it != modelRegistry().end(),
-                "unknown model preset: " + name);
-    return it->second();
+    return known(findNamed(kModelPresets, name), "model preset", name)();
 }
 
 std::vector<std::string>
 systemPresetNames()
 {
-    std::vector<std::string> out;
-    for (const auto &[name, fn] : systemRegistry())
-        out.push_back(name);
-    return out;
+    return sortedNames(kSystemPresets);
 }
 
 System
 systemPreset(const std::string &name, int num_nodes)
 {
-    auto it = systemRegistry().find(name);
-    checkConfig(it != systemRegistry().end(),
-                "unknown system preset: " + name);
-    return it->second(num_nodes);
+    return known(findNamed(kSystemPresets, name), "system preset",
+                 name)(num_nodes);
 }
 
 // ---- Serialization -----------------------------------------------------
 
-JsonValue
-toJson(const NetworkLink &link)
-{
-    JsonValue j = JsonValue::object();
-    j.set("name", JsonValue::string(link.name));
-    j.set("bandwidth", JsonValue::number(link.bandwidth));
-    j.set("latency", JsonValue::number(link.latency));
-    j.set("halfUtilVolume", JsonValue::number(link.halfUtilVolume));
-    j.set("maxUtilization", JsonValue::number(link.maxUtilization));
-    j.set("collectiveOverhead",
-          JsonValue::number(link.collectiveOverhead));
-    return j;
-}
+JsonValue toJson(const NetworkLink &link) { return writeFields(link); }
 
-JsonValue
-toJson(const Device &dev)
-{
-    JsonValue j = JsonValue::object();
-    j.set("name", JsonValue::string(dev.name));
-
-    JsonValue matrix = JsonValue::object();
-    for (const auto &[p, f] : dev.matrixThroughput)
-        matrix.set(precisionName(p), JsonValue::number(f));
-    j.set("matrixThroughput", std::move(matrix));
-
-    JsonValue vec = JsonValue::object();
-    for (const auto &[p, f] : dev.vectorThroughput)
-        vec.set(precisionName(p), JsonValue::number(f));
-    j.set("vectorThroughput", std::move(vec));
-
-    JsonValue mem = JsonValue::array();
-    for (const MemoryLevel &m : dev.mem) {
-        JsonValue level = JsonValue::object();
-        level.set("name", JsonValue::string(m.name));
-        level.set("capacity", JsonValue::number(m.capacity));
-        level.set("bandwidth", JsonValue::number(m.bandwidth));
-        level.set("utilization", JsonValue::number(m.utilization));
-        mem.push(std::move(level));
-    }
-    j.set("mem", std::move(mem));
-
-    j.set("matrixMaxEfficiency",
-          JsonValue::number(dev.matrixMaxEfficiency));
-    j.set("gemmKHalf", JsonValue::number(dev.gemmKHalf));
-    j.set("gemvDramUtilization",
-          JsonValue::number(dev.gemvDramUtilization));
-    j.set("kernelLaunchOverhead",
-          JsonValue::number(dev.kernelLaunchOverhead));
-    return j;
-}
+JsonValue toJson(const Device &dev) { return writeFields(dev); }
 
 JsonValue
 toJson(const System &sys)
@@ -213,51 +356,9 @@ toJson(const System &sys)
     return j;
 }
 
-JsonValue
-toJson(const TransformerConfig &cfg)
-{
-    JsonValue j = JsonValue::object();
-    j.set("name", JsonValue::string(cfg.name));
-    j.set("numLayers", JsonValue::number(double(cfg.numLayers)));
-    j.set("hiddenSize", JsonValue::number(double(cfg.hiddenSize)));
-    j.set("numHeads", JsonValue::number(double(cfg.numHeads)));
-    j.set("numKvHeads", JsonValue::number(double(cfg.numKvHeads)));
-    j.set("ffnHidden", JsonValue::number(double(cfg.ffnHidden)));
-    j.set("vocabSize", JsonValue::number(double(cfg.vocabSize)));
-    j.set("maxSeqLength",
-          JsonValue::number(double(cfg.maxSeqLength)));
-    j.set("mlp", JsonValue::string(cfg.mlp == MlpKind::SwiGlu
-                                       ? "swiglu"
-                                       : "gelu"));
-    j.set("numExperts", JsonValue::number(double(cfg.numExperts)));
-    j.set("topK", JsonValue::number(double(cfg.topK)));
-    j.set("slidingWindow",
-          JsonValue::number(double(cfg.slidingWindow)));
-    return j;
-}
+JsonValue toJson(const TransformerConfig &cfg) { return writeFields(cfg); }
 
-JsonValue
-toJson(const ParallelConfig &par)
-{
-    JsonValue j = JsonValue::object();
-    j.set("dataParallel", JsonValue::number(double(par.dataParallel)));
-    j.set("tensorParallel",
-          JsonValue::number(double(par.tensorParallel)));
-    j.set("pipelineParallel",
-          JsonValue::number(double(par.pipelineParallel)));
-    j.set("sequenceParallel",
-          JsonValue::boolean(par.sequenceParallel));
-    j.set("schedule", JsonValue::string(scheduleName(par.schedule)));
-    j.set("microbatchSize",
-          JsonValue::number(double(par.microbatchSize)));
-    j.set("interleavedStages",
-          JsonValue::number(double(par.interleavedStages)));
-    j.set("expertParallel",
-          JsonValue::number(double(par.expertParallel)));
-    j.set("contextParallel",
-          JsonValue::number(double(par.contextParallel)));
-    return j;
-}
+JsonValue toJson(const ParallelConfig &par) { return writeFields(par); }
 
 JsonValue
 toJson(const TrainingMemory &mem)
@@ -271,49 +372,9 @@ toJson(const TrainingMemory &mem)
     return j;
 }
 
-JsonValue
-toJson(const TrainingOptions &opts)
-{
-    // Field names mirror trainingOptionsFromJson, so a serialized
-    // options object (e.g. inside a RunRecord's canonical config)
-    // deserializes back to the same evaluation. The trace pointer is
-    // runtime state, not configuration.
-    JsonValue j = JsonValue::object();
-    j.set("precision",
-          JsonValue::string(precisionName(opts.precision)));
-    j.set("recompute", JsonValue::string(recomputeName(opts.recompute)));
-    j.set("seqLength", JsonValue::number(double(opts.seqLength)));
-    j.set("dpOverlapFraction",
-          JsonValue::number(opts.dpOverlapFraction));
-    j.set("tpOverlapFraction",
-          JsonValue::number(opts.tpOverlapFraction));
-    j.set("flashAttention", JsonValue::boolean(opts.flashAttention));
-    j.set("zeroStage", JsonValue::number(double(opts.memory.zeroStage)));
-    j.set("activationBytes",
-          JsonValue::number(opts.memory.activationBytes));
-    return j;
-}
+JsonValue toJson(const TrainingOptions &opts) { return writeFields(opts); }
 
-JsonValue
-toJson(const InferenceOptions &opts)
-{
-    JsonValue j = JsonValue::object();
-    j.set("precision",
-          JsonValue::string(precisionName(opts.precision)));
-    j.set("tensorParallel",
-          JsonValue::number(double(opts.tensorParallel)));
-    j.set("pipelineParallel",
-          JsonValue::number(double(opts.pipelineParallel)));
-    j.set("batch", JsonValue::number(double(opts.batch)));
-    j.set("promptLength",
-          JsonValue::number(double(opts.promptLength)));
-    j.set("generateLength",
-          JsonValue::number(double(opts.generateLength)));
-    j.set("flashAttention", JsonValue::boolean(opts.flashAttention));
-    j.set("kvPrecision",
-          JsonValue::string(precisionName(opts.kvPrecision)));
-    return j;
-}
+JsonValue toJson(const InferenceOptions &opts) { return writeFields(opts); }
 
 JsonValue
 toJson(const TrainingReport &rep)
@@ -403,35 +464,14 @@ toJson(const lint::LintReport &report)
 NetworkLink
 linkFromJson(const JsonValue &j)
 {
-    NetworkLink base;
+    NetworkLink link;
     if (j.has("preset")) {
-        const std::string name = j.at("preset").asString();
-        if (name == "nvlink3")
-            base = presets::nvlink3();
-        else if (name == "nvlink4")
-            base = presets::nvlink4();
-        else if (name == "nvlink5")
-            base = presets::nvlink5();
-        else if (name == "hdr-ib")
-            base = presets::hdrInfiniBand();
-        else if (name == "ndr-ib")
-            base = presets::ndrInfiniBand();
-        else if (name == "xdr-ib")
-            base = presets::xdrInfiniBand();
-        else
-            throw ConfigError("unknown link preset: " + name);
+        const std::string &name = j.at("preset").asString();
+        link = known(findNamed(kLinkPresets, name), "link preset", name)();
     }
-    base.name = j.getString("name", base.name);
-    base.bandwidth = j.getNumber("bandwidth", base.bandwidth);
-    base.latency = j.getNumber("latency", base.latency);
-    base.halfUtilVolume =
-        j.getNumber("halfUtilVolume", base.halfUtilVolume);
-    base.maxUtilization =
-        j.getNumber("maxUtilization", base.maxUtilization);
-    base.collectiveOverhead =
-        j.getNumber("collectiveOverhead", base.collectiveOverhead);
-    base.validate();
-    return base;
+    readFields(j, link);
+    link.validate();
+    return link;
 }
 
 Device
@@ -440,36 +480,7 @@ deviceFromJson(const JsonValue &j)
     Device dev;
     if (j.has("preset"))
         dev = devicePreset(j.at("preset").asString());
-
-    dev.name = j.getString("name", dev.name);
-    if (j.has("matrixThroughput")) {
-        dev.matrixThroughput.clear();
-        for (const auto &[k, v] : j.at("matrixThroughput").asObject())
-            dev.matrixThroughput[parsePrecision(k)] = v.asNumber();
-    }
-    if (j.has("vectorThroughput")) {
-        dev.vectorThroughput.clear();
-        for (const auto &[k, v] : j.at("vectorThroughput").asObject())
-            dev.vectorThroughput[parsePrecision(k)] = v.asNumber();
-    }
-    if (j.has("mem")) {
-        dev.mem.clear();
-        for (const JsonValue &level : j.at("mem").asArray()) {
-            MemoryLevel m;
-            m.name = level.at("name").asString();
-            m.capacity = level.at("capacity").asNumber();
-            m.bandwidth = level.at("bandwidth").asNumber();
-            m.utilization = level.getNumber("utilization", 0.85);
-            dev.mem.push_back(m);
-        }
-    }
-    dev.matrixMaxEfficiency =
-        j.getNumber("matrixMaxEfficiency", dev.matrixMaxEfficiency);
-    dev.gemmKHalf = j.getNumber("gemmKHalf", dev.gemmKHalf);
-    dev.gemvDramUtilization =
-        j.getNumber("gemvDramUtilization", dev.gemvDramUtilization);
-    dev.kernelLaunchOverhead =
-        j.getNumber("kernelLaunchOverhead", dev.kernelLaunchOverhead);
+    readFields(j, dev);
     dev.validate();
     return dev;
 }
@@ -503,27 +514,11 @@ modelFromJson(const JsonValue &j)
     TransformerConfig cfg;
     if (j.has("preset"))
         cfg = modelPreset(j.at("preset").asString());
-    cfg.name = j.getString("name", cfg.name);
-    cfg.numLayers = j.getInt("numLayers", cfg.numLayers);
-    cfg.hiddenSize = j.getInt("hiddenSize", cfg.hiddenSize);
-    cfg.numHeads = j.getInt("numHeads", cfg.numHeads);
-    cfg.numKvHeads = j.getInt("numKvHeads", cfg.numKvHeads ? cfg.numKvHeads
-                                                           : cfg.numHeads);
-    cfg.ffnHidden = j.getInt("ffnHidden", cfg.ffnHidden);
-    cfg.vocabSize = j.getInt("vocabSize", cfg.vocabSize);
-    cfg.maxSeqLength = j.getInt("maxSeqLength", cfg.maxSeqLength);
-    cfg.numExperts = j.getInt("numExperts", cfg.numExperts);
-    cfg.topK = j.getInt("topK", cfg.topK);
-    cfg.slidingWindow = j.getInt("slidingWindow", cfg.slidingWindow);
-    if (j.has("mlp")) {
-        const std::string kind = j.at("mlp").asString();
-        if (kind == "swiglu")
-            cfg.mlp = MlpKind::SwiGlu;
-        else if (kind == "gelu")
-            cfg.mlp = MlpKind::GeluTwoLayer;
-        else
-            throw ConfigError("unknown mlp kind: " + kind);
-    }
+    readFields(j, cfg);
+    // Reader-only default: no KV head count anywhere means
+    // multi-head attention.
+    if (cfg.numKvHeads == 0 && !j.has(kNumKvHeads))
+        cfg.numKvHeads = cfg.numHeads;
     cfg.validate();
     return cfg;
 }
@@ -532,23 +527,7 @@ ParallelConfig
 parallelFromJson(const JsonValue &j)
 {
     ParallelConfig par;
-    par.dataParallel = j.getInt("dataParallel", par.dataParallel);
-    par.tensorParallel =
-        j.getInt("tensorParallel", par.tensorParallel);
-    par.pipelineParallel =
-        j.getInt("pipelineParallel", par.pipelineParallel);
-    par.sequenceParallel =
-        j.getBool("sequenceParallel", par.sequenceParallel);
-    if (j.has("schedule"))
-        par.schedule = scheduleFromName(j.at("schedule").asString());
-    par.microbatchSize =
-        j.getInt("microbatchSize", par.microbatchSize);
-    par.interleavedStages =
-        j.getInt("interleavedStages", par.interleavedStages);
-    par.expertParallel =
-        j.getInt("expertParallel", par.expertParallel);
-    par.contextParallel =
-        j.getInt("contextParallel", par.contextParallel);
+    readFields(j, par);
     return par;
 }
 
@@ -556,25 +535,13 @@ TrainingOptions
 trainingOptionsFromJson(const JsonValue &j)
 {
     TrainingOptions opts;
-    if (j.has("precision"))
-        opts.precision = parsePrecision(j.at("precision").asString());
-    if (j.has("recompute"))
-        opts.recompute =
-            recomputeFromName(j.at("recompute").asString());
-    opts.seqLength = j.getInt("seqLength", opts.seqLength);
-    opts.dpOverlapFraction =
-        j.getNumber("dpOverlapFraction", opts.dpOverlapFraction);
-    opts.tpOverlapFraction =
-        j.getNumber("tpOverlapFraction", opts.tpOverlapFraction);
-    opts.flashAttention =
-        j.getBool("flashAttention", opts.flashAttention);
-    opts.memory.zeroStage = static_cast<int>(
-        j.getInt("zeroStage", opts.memory.zeroStage));
+    readFields(j, opts);
+    // Reader-only defaults: the memory model follows flashAttention,
+    // and sub-2-byte training stores 1-byte activations unless told.
     opts.memory.flashAttention = opts.flashAttention;
-    opts.memory.activationBytes = j.getNumber(
-        "activationBytes", precisionBytes(opts.precision) < 2.0
-                               ? 1.0
-                               : opts.memory.activationBytes);
+    if (!j.has(kActivationBytes) &&
+        precisionBytes(opts.precision) < 2.0)
+        opts.memory.activationBytes = 1.0;
     return opts;
 }
 
@@ -582,22 +549,10 @@ InferenceOptions
 inferenceOptionsFromJson(const JsonValue &j)
 {
     InferenceOptions opts;
-    if (j.has("precision"))
-        opts.precision = parsePrecision(j.at("precision").asString());
-    opts.tensorParallel =
-        j.getInt("tensorParallel", opts.tensorParallel);
-    opts.pipelineParallel =
-        j.getInt("pipelineParallel", opts.pipelineParallel);
-    opts.batch = j.getInt("batch", opts.batch);
-    opts.promptLength = j.getInt("promptLength", opts.promptLength);
-    opts.generateLength =
-        j.getInt("generateLength", opts.generateLength);
-    opts.flashAttention =
-        j.getBool("flashAttention", opts.flashAttention);
-    opts.kvPrecision =
-        j.has("kvPrecision")
-            ? parsePrecision(j.at("kvPrecision").asString())
-            : opts.precision;
+    readFields(j, opts);
+    // Reader-only default: the KV cache is stored at the precision.
+    if (!j.has(kKvPrecision))
+        opts.kvPrecision = opts.precision;
     return opts;
 }
 

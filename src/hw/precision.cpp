@@ -4,8 +4,17 @@
 #include <cctype>
 
 #include "util/error.h"
+#include "util/names.h"
 
 namespace optimus {
+
+// "half" is an alias; precisionName prints the first spelling.
+constexpr Named<Precision> kPrecisionNames[] = {
+    {"fp32", Precision::FP32}, {"tf32", Precision::TF32},
+    {"fp16", Precision::FP16}, {"bf16", Precision::BF16},
+    {"fp8", Precision::FP8},   {"fp4", Precision::FP4},
+    {"int8", Precision::INT8}, {"half", Precision::FP16},
+};
 
 double
 precisionBytes(Precision p)
@@ -29,15 +38,8 @@ precisionBytes(Precision p)
 std::string
 precisionName(Precision p)
 {
-    switch (p) {
-      case Precision::FP32: return "fp32";
-      case Precision::TF32: return "tf32";
-      case Precision::FP16: return "fp16";
-      case Precision::BF16: return "bf16";
-      case Precision::FP8:  return "fp8";
-      case Precision::FP4:  return "fp4";
-      case Precision::INT8: return "int8";
-    }
+    if (const char *name = nameOf(kPrecisionNames, p))
+        return name;
     throw ModelError("unknown precision");
 }
 
@@ -47,13 +49,8 @@ parsePrecision(const std::string &name)
     std::string s = name;
     std::transform(s.begin(), s.end(), s.begin(),
                    [](unsigned char c) { return std::tolower(c); });
-    if (s == "fp32") return Precision::FP32;
-    if (s == "tf32") return Precision::TF32;
-    if (s == "fp16" || s == "half") return Precision::FP16;
-    if (s == "bf16") return Precision::BF16;
-    if (s == "fp8") return Precision::FP8;
-    if (s == "fp4") return Precision::FP4;
-    if (s == "int8") return Precision::INT8;
+    if (std::optional<Precision> p = findNamed(kPrecisionNames, s))
+        return *p;
     throw ConfigError("unknown precision name: " + name);
 }
 

@@ -1,7 +1,6 @@
 #include "hw/system.h"
 
 #include "lint/lint.h"
-#include "util/error.h"
 
 namespace optimus {
 
@@ -9,13 +8,6 @@ long long
 System::totalDevices() const
 {
     return static_cast<long long>(devicesPerNode) * numNodes;
-}
-
-const NetworkLink &
-System::linkForGroup(long long group_size) const
-{
-    checkConfig(group_size >= 1, "communication group must be non-empty");
-    return group_size <= devicesPerNode ? intraLink : interLink;
 }
 
 void

@@ -28,13 +28,6 @@ struct System
     /** Total device count. */
     long long totalDevices() const;
 
-    /**
-     * The link connecting a group of @p group_size consecutive devices:
-     * the intra-node link when the group fits in one node, the
-     * inter-node link otherwise.
-     */
-    const NetworkLink &linkForGroup(long long group_size) const;
-
     /** Validate invariants; throws ConfigError on violation. */
     void validate() const;
 };

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "memory/kv_cache.h"
 #include "plan/plan.h"
 #include "workload/graph.h"
 
@@ -18,6 +19,19 @@ evaluateInference(const TransformerConfig &cfg, const System &sys,
                   const InferenceOptions &opts)
 {
     return plan::runInference(cfg, sys, opts).report;
+}
+
+InferenceMemory
+inferenceMemory(const TransformerConfig &cfg, const InferenceOptions &opts)
+{
+    InferenceMemory mem;
+    mem.weights = modelWeightBytes(cfg, opts.precision);
+    mem.kvCache =
+        kvCacheBytes(cfg, opts.batch, opts.promptLength + opts.generateLength,
+                     opts.kvPrecision);
+    mem.perDevice = (mem.weights + mem.kvCache) /
+                    double(opts.tensorParallel * opts.pipelineParallel);
+    return mem;
 }
 
 namespace {

@@ -92,6 +92,24 @@ struct InferenceReport
     bool fitsDeviceMemory = true;
 };
 
+/** Device memory of an inference, in bytes. */
+struct InferenceMemory
+{
+    double weights = 0.0;    ///< all model weights, at precision
+    double kvCache = 0.0;    ///< whole KV cache at the last token
+    double perDevice = 0.0;  ///< (weights + kvCache) / (TP x PP)
+};
+
+/**
+ * The one inference memory-fit rule: weights at opts.precision plus
+ * the KV cache of opts.batch sequences of promptLength +
+ * generateLength tokens at opts.kvPrecision, sharded over
+ * tensorParallel x pipelineParallel devices. The inference fits when
+ * perDevice is at most the device's DRAM capacity.
+ */
+InferenceMemory inferenceMemory(const TransformerConfig &cfg,
+                                const InferenceOptions &opts);
+
 /** Evaluate end-to-end inference latency of @p cfg on @p sys. */
 InferenceReport evaluateInference(const TransformerConfig &cfg,
                                   const System &sys,

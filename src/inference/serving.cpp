@@ -1,6 +1,5 @@
 #include "inference/serving.h"
 
-#include "memory/kv_cache.h"
 #include "plan/plan.h"
 #include "util/error.h"
 
@@ -52,28 +51,13 @@ evaluateServingPoint(const TransformerConfig &cfg, const System &sys,
     pt.requestsPerSecond =
         pt.tokensPerSecond / double(opts.generateLength);
 
-    long long max_context = opts.promptLength + opts.generateLength;
-    pt.kvCacheBytesPerDevice =
-        kvCacheBytes(cfg, batch, max_context, opts.kvPrecision) /
-        double(opts.tensorParallel);
-    double per_device =
-        pt.kvCacheBytesPerDevice +
-        modelWeightBytes(cfg, opts.precision) /
-            double(opts.tensorParallel);
-    pt.fits = per_device <= sys.device.dram().capacity;
+    // Memory at the longest context: every sequence fully generated.
+    io.batch = batch;
+    io.generateLength = opts.generateLength;
+    const InferenceMemory mem = inferenceMemory(cfg, io);
+    pt.kvCacheBytesPerDevice = mem.kvCache / double(opts.tensorParallel);
+    pt.fits = mem.perDevice <= sys.device.dram().capacity;
     return pt;
-}
-
-std::vector<ServingPoint>
-servingSweep(const TransformerConfig &cfg, const System &sys,
-             const ServingOptions &opts,
-             const std::vector<long long> &batches)
-{
-    std::vector<ServingPoint> out;
-    out.reserve(batches.size());
-    for (long long b : batches)
-        out.push_back(evaluateServingPoint(cfg, sys, opts, b));
-    return out;
 }
 
 ServingPoint

@@ -61,13 +61,6 @@ ServingPoint evaluateServingPoint(const TransformerConfig &cfg,
                                   const ServingOptions &opts,
                                   long long batch);
 
-/** Evaluate a sweep of batch sizes. */
-std::vector<ServingPoint> servingSweep(const TransformerConfig &cfg,
-                                       const System &sys,
-                                       const ServingOptions &opts,
-                                       const std::vector<long long> &
-                                           batches);
-
 /**
  * Largest power-of-two batch whose weights + KV cache fit device
  * memory, with its operating point.

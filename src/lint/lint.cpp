@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "memory/footprint.h"
-#include "memory/kv_cache.h"
 #include "util/units.h"
 
 namespace optimus {
@@ -197,8 +196,8 @@ checkMappingPositive(const ParallelConfig &par, long long global_batch,
 LintReport
 lintModel(const TransformerConfig &cfg)
 {
-    // Mirrors TransformerConfig::validate(), but aggregates every
-    // violation under OPT-CFG-018 instead of throwing on the first.
+    // TransformerConfig::validate() calls this and throws on its
+    // errors. Every violation is aggregated under OPT-CFG-018.
     LintReport report;
     const std::string name = cfg.name.empty() ? "<model>" : cfg.name;
     if (cfg.name.empty())
@@ -590,22 +589,15 @@ lintInference(const TransformerConfig &cfg, const System &sys,
         report.merge(lintInferenceMapping(cfg, sys, opts));
 
     if (!report.hasErrors()) {
-        // Mirrors the engine's fitsDeviceMemory accounting.
-        const long long context =
-            opts.promptLength + opts.generateLength;
-        const double weights = modelWeightBytes(cfg, opts.precision);
-        const double kv = kvCacheBytes(cfg, opts.batch, context,
-                                       opts.kvPrecision);
-        const double per_device =
-            (weights + kv) /
-            double(opts.tensorParallel * opts.pipelineParallel);
+        // The engine's fitsDeviceMemory rule.
+        const InferenceMemory mem = inferenceMemory(cfg, opts);
         const double capacity = sys.device.dram().capacity;
-        if (per_device > capacity)
+        if (mem.perDevice > capacity)
             report.error(
                 kRuleInferMemory,
-                "weights " + formatBytes(weights) + " + KV cache " +
-                    formatBytes(kv) + " need " +
-                    formatBytes(per_device) + " per device, " +
+                "weights " + formatBytes(mem.weights) + " + KV cache " +
+                    formatBytes(mem.kvCache) + " need " +
+                    formatBytes(mem.perDevice) + " per device, " +
                     sys.device.name + " has " + formatBytes(capacity),
                 "raise TP/PP, shrink the batch or context, or "
                 "quantize the KV cache");

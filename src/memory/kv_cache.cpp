@@ -25,18 +25,4 @@ modelWeightBytes(const TransformerConfig &cfg, Precision precision)
     return cfg.parameterCount() * precisionBytes(precision);
 }
 
-bool
-inferenceFits(const TransformerConfig &cfg, long long batch,
-              long long context, Precision precision,
-              long long tensor_parallel, double capacity)
-{
-    checkPositive(tensor_parallel, "tensorParallel");
-    checkPositive(capacity, "device capacity");
-    double per_device =
-        (modelWeightBytes(cfg, precision) +
-         kvCacheBytes(cfg, batch, context, precision)) /
-        double(tensor_parallel);
-    return per_device <= capacity;
-}
-
 } // namespace optimus

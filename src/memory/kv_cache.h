@@ -22,14 +22,6 @@ double kvCacheBytes(const TransformerConfig &cfg, long long batch,
 double modelWeightBytes(const TransformerConfig &cfg,
                         Precision precision);
 
-/**
- * Device-memory check for inference: weights + KV cache sharded over
- * @p tensor_parallel devices must fit @p capacity bytes.
- */
-bool inferenceFits(const TransformerConfig &cfg, long long batch,
-                   long long context, Precision precision,
-                   long long tensor_parallel, double capacity);
-
 } // namespace optimus
 
 #endif // OPTIMUS_MEMORY_KV_CACHE_H

@@ -2,18 +2,28 @@
 
 #include "lint/lint.h"
 #include "util/error.h"
+#include "util/names.h"
 
 namespace optimus {
+
+constexpr Named<PipelineSchedule> kScheduleNames[] = {
+    {"gpipe", PipelineSchedule::GPipe},
+    {"1f1b", PipelineSchedule::OneFOneB},
+    {"interleaved", PipelineSchedule::Interleaved1F1B},
+};
 
 const char *
 scheduleName(PipelineSchedule s)
 {
-    switch (s) {
-      case PipelineSchedule::GPipe: return "gpipe";
-      case PipelineSchedule::OneFOneB: return "1f1b";
-      case PipelineSchedule::Interleaved1F1B: return "interleaved";
-    }
+    if (const char *name = nameOf(kScheduleNames, s))
+        return name;
     throw ModelError("unknown pipeline schedule");
+}
+
+std::optional<PipelineSchedule>
+scheduleFromName(std::string_view name)
+{
+    return findNamed(kScheduleNames, name);
 }
 
 long long

@@ -9,7 +9,9 @@
 #ifndef OPTIMUS_PARALLEL_CONFIG_H
 #define OPTIMUS_PARALLEL_CONFIG_H
 
+#include <optional>
 #include <string>
+#include <string_view>
 
 #include "hw/system.h"
 #include "workload/model_config.h"
@@ -25,6 +27,9 @@ enum class PipelineSchedule {
 
 /** Name of a schedule ("gpipe", "1f1b", "interleaved"). */
 const char *scheduleName(PipelineSchedule s);
+
+/** The schedule spelled @p name, or nullopt for an unknown name. */
+std::optional<PipelineSchedule> scheduleFromName(std::string_view name);
 
 /** A complete parallelization mapping. */
 struct ParallelConfig

@@ -9,7 +9,6 @@
 #include "plan/plan.h"
 
 #include "memory/footprint.h"
-#include "memory/kv_cache.h"
 #include "trace/trace.h"
 
 namespace optimus {
@@ -122,14 +121,10 @@ runInference(const TransformerConfig &cfg, const System &sys,
     rep.decode = f.decode;
     rep.totalLatency = rep.prefill.time + rep.decode.time;
 
-    long long final_ctx = opts.promptLength + opts.generateLength;
-    rep.kvCacheBytes = kvCacheBytes(cfg, opts.batch, final_ctx,
-                                    opts.kvPrecision);
-    rep.weightBytes = modelWeightBytes(cfg, opts.precision);
-    rep.fitsDeviceMemory =
-        (rep.weightBytes + rep.kvCacheBytes) /
-            double(opts.tensorParallel * opts.pipelineParallel) <=
-        run.plan.dev.dram().capacity;
+    const InferenceMemory mem = inferenceMemory(cfg, opts);
+    rep.kvCacheBytes = mem.kvCache;
+    rep.weightBytes = mem.weights;
+    rep.fitsDeviceMemory = mem.perDevice <= run.plan.dev.dram().capacity;
     return run;
 }
 

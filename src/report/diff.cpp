@@ -105,6 +105,12 @@ MetricDelta::deltaPct() const
     return relPct(a, b);
 }
 
+bool
+KernelDelta::drifts() const
+{
+    return beyondTolerance || boundFlip || onlyA || onlyB;
+}
+
 double
 KernelDelta::timeDeltaPct() const
 {
@@ -156,7 +162,7 @@ RunDiff::drifted() const
         if (d.beyondTolerance)
             return true;
     for (const KernelDelta &d : kernels)
-        if (d.beyondTolerance || d.boundFlip || d.onlyA || d.onlyB)
+        if (d.drifts())
             return true;
     for (const MetricDelta &d : validation)
         if (d.beyondTolerance)
@@ -391,10 +397,7 @@ diffText(const RunDiff &diff, const RunRecord &a, const RunRecord &b,
                 .cell(d.component())
                 .cell(d.boundFlip ? d.a.bound + " -> " + d.b.bound
                                   : (d.onlyB ? d.b.bound : d.a.bound))
-                .cell(d.beyondTolerance || d.boundFlip || d.onlyA ||
-                              d.onlyB
-                          ? "DRIFT"
-                          : "");
+                .cell(d.drifts() ? "DRIFT" : "");
             t.endRow();
         }
         os << "\n";
@@ -440,10 +443,7 @@ diffText(const RunDiff &diff, const RunRecord &a, const RunRecord &b,
     for (const MetricDelta &d : diff.metrics)
         gated += d.beyondTolerance ? 1 : 0;
     for (const KernelDelta &d : diff.kernels)
-        gated += (d.beyondTolerance || d.boundFlip || d.onlyA ||
-                  d.onlyB)
-                     ? 1
-                     : 0;
+        gated += d.drifts() ? 1 : 0;
     for (const MetricDelta &d : diff.validation)
         gated += d.beyondTolerance ? 1 : 0;
     os << "\n";
@@ -509,9 +509,7 @@ toJson(const RunDiff &diff)
                   JsonValue::number(d.timeDeltaPct()));
         e.set("component", JsonValue::string(d.component()));
         e.set("bound_flip", JsonValue::boolean(d.boundFlip));
-        e.set("drift", JsonValue::boolean(d.beyondTolerance ||
-                                          d.boundFlip || d.onlyA ||
-                                          d.onlyB));
+        e.set("drift", JsonValue::boolean(d.drifts()));
         kernels.push(std::move(e));
     }
     j.set("kernels", std::move(kernels));

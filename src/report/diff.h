@@ -64,6 +64,12 @@ struct KernelDelta
     bool boundFlip = false;  ///< bound class changed (always drift)
     bool beyondTolerance = false;
 
+    /**
+     * The row's drift verdict: beyond tolerance, a bound flip or a
+     * one-sided kernel.
+     */
+    bool drifts() const;
+
     /** Relative time delta vs a.time, percent. */
     double timeDeltaPct() const;
 

@@ -8,7 +8,9 @@
 #ifndef OPTIMUS_TECH_DRAM_H
 #define OPTIMUS_TECH_DRAM_H
 
+#include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace optimus {
@@ -32,6 +34,12 @@ DramTech hbm3();    ///< 3.35 TB/s (H100's HBM3)
 DramTech hbm3e();   ///< 4.8 TB/s
 DramTech hbm4();    ///< 3.3 TB/s projected stack used in Fig. 6
 DramTech hbmx();    ///< 6.8 TB/s futuristic (Fig. 9)
+
+/**
+ * The technology spelled @p name ("gddr6", "hbm2", "hbm2e",
+ * "hbm3-26", "hbm3", "hbm3e", "hbm4", "hbmx"), or nullopt.
+ */
+std::optional<DramTech> byName(std::string_view name);
 
 /** The Fig. 6 training sweep: HBM2, HBM2E, HBM3(2.6), HBM4. */
 const std::vector<DramTech> &trainingSweep();

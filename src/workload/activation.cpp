@@ -3,18 +3,28 @@
 #include <cmath>
 
 #include "util/error.h"
+#include "util/names.h"
 
 namespace optimus {
+
+constexpr Named<Recompute> kRecomputeNames[] = {
+    {"none", Recompute::None},
+    {"selective", Recompute::Selective},
+    {"full", Recompute::Full},
+};
 
 const char *
 recomputeName(Recompute r)
 {
-    switch (r) {
-      case Recompute::None: return "none";
-      case Recompute::Selective: return "selective";
-      case Recompute::Full: return "full";
-    }
+    if (const char *name = nameOf(kRecomputeNames, r))
+        return name;
     throw ModelError("unknown recompute strategy");
+}
+
+std::optional<Recompute>
+recomputeFromName(std::string_view name)
+{
+    return findNamed(kRecomputeNames, name);
 }
 
 double

@@ -15,6 +15,8 @@
 #ifndef OPTIMUS_WORKLOAD_ACTIVATION_H
 #define OPTIMUS_WORKLOAD_ACTIVATION_H
 
+#include <optional>
+#include <string_view>
 #include <vector>
 
 #include "workload/graph.h"
@@ -31,6 +33,9 @@ enum class Recompute {
 
 /** Human-readable name ("none", "selective", "full"). */
 const char *recomputeName(Recompute r);
+
+/** The strategy spelled @p name, or nullopt for an unknown name. */
+std::optional<Recompute> recomputeFromName(std::string_view name);
 
 /** Inputs to the activation accounting. */
 struct ActivationParams

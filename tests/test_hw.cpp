@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include "comm/collective.h"
 #include "hw/presets.h"
 #include "util/error.h"
 #include "util/units.h"
@@ -244,9 +245,13 @@ TEST(System, TotalsAndLinkSelection)
 {
     System sys = presets::dgxA100(4);
     EXPECT_EQ(sys.totalDevices(), 32);
-    EXPECT_EQ(sys.linkForGroup(8).name, "NVLink3");
-    EXPECT_EQ(sys.linkForGroup(9).name, "HDR-IB");
-    EXPECT_THROW(sys.linkForGroup(0), ConfigError);
+    // A group packing up to one node's devices stays on NVLink; one
+    // more device puts it on InfiniBand.
+    EXPECT_EQ(groupScopeFor(sys, 8), GroupScope::IntraNode);
+    EXPECT_EQ(groupScopeFor(sys, 9), GroupScope::InterNode);
+    EXPECT_THROW(groupScopeFor(sys, 0), ConfigError);
+    EXPECT_EQ(sys.intraLink.name, "NVLink3");
+    EXPECT_EQ(sys.interLink.name, "HDR-IB");
 }
 
 TEST(System, NvsMatchesIntraNodeRate)

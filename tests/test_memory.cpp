@@ -7,6 +7,8 @@
 #include <gtest/gtest.h>
 
 #include "hw/presets.h"
+#include "inference/serving.h"
+#include "lint/lint.h"
 #include "memory/footprint.h"
 #include "memory/kv_cache.h"
 #include "util/error.h"
@@ -56,16 +58,62 @@ TEST(KvCache, Llama13BInsetNumbers)
 
 TEST(KvCache, InferenceFits)
 {
-    TransformerConfig cfg = models::llama2_70b();
+    const TransformerConfig cfg = models::llama2_70b();
+    const double a100 = 80 * GiB;
+    InferenceOptions opts;
+    opts.promptLength = 200;
+    opts.generateLength = 200;
     // 70B fp16 = ~129 GiB of weights: does not fit one 80 GiB A100.
-    EXPECT_FALSE(
-        inferenceFits(cfg, 1, 400, Precision::FP16, 1, 80 * GiB));
-    // Fits across two devices.
-    EXPECT_TRUE(
-        inferenceFits(cfg, 1, 400, Precision::FP16, 2, 80 * GiB));
-    EXPECT_THROW(inferenceFits(cfg, 1, 400, Precision::FP16, 0,
-                               80 * GiB),
-                 ConfigError);
+    InferenceMemory one = inferenceMemory(cfg, opts);
+    EXPECT_DOUBLE_EQ(one.weights, modelWeightBytes(cfg, Precision::FP16));
+    EXPECT_DOUBLE_EQ(one.kvCache,
+                     kvCacheBytes(cfg, 1, 400, Precision::FP16));
+    EXPECT_GT(one.perDevice, a100);
+
+    // Fits across two devices, whether they split by TP or by PP.
+    opts.tensorParallel = 2;
+    EXPECT_DOUBLE_EQ(inferenceMemory(cfg, opts).perDevice,
+                     one.perDevice / 2);
+    EXPECT_LE(inferenceMemory(cfg, opts).perDevice, a100);
+    opts.tensorParallel = 1;
+    opts.pipelineParallel = 2;
+    EXPECT_DOUBLE_EQ(inferenceMemory(cfg, opts).perDevice,
+                     one.perDevice / 2);
+
+    // The KV cache is priced at kvPrecision, not at the weights'.
+    opts.kvPrecision = Precision::FP8;
+    EXPECT_DOUBLE_EQ(inferenceMemory(cfg, opts).kvCache,
+                     one.kvCache / 2);
+    EXPECT_DOUBLE_EQ(inferenceMemory(cfg, opts).weights, one.weights);
+}
+
+TEST(KvCache, EngineLintAndServingShareTheFitRule)
+{
+    // Llama2-70B at batch 64 and 2048 tokens on A100s: at TP 2 the KV
+    // cache pushes it over 80 GiB per device, at TP 4 it fits. The
+    // engine, the lint rule and the serving point agree with
+    // inferenceMemory.
+    const TransformerConfig cfg = models::llama2_70b();
+    const System sys = presets::dgxA100(1);
+    const double capacity = sys.device.dram().capacity;
+    for (long long tp : {2, 4}) {
+        SCOPED_TRACE(tp);
+        InferenceOptions opts;
+        opts.tensorParallel = tp;
+        opts.batch = 64;
+        opts.promptLength = 1024;
+        opts.generateLength = 1024;
+        const bool fits = inferenceMemory(cfg, opts).perDevice <= capacity;
+        EXPECT_EQ(fits, tp == 4);
+        EXPECT_EQ(evaluateInference(cfg, sys, opts).fitsDeviceMemory, fits);
+        EXPECT_EQ(lint::lintInference(cfg, sys, opts).hasErrors(), !fits);
+
+        ServingOptions sopts;
+        sopts.tensorParallel = tp;
+        sopts.promptLength = opts.promptLength;
+        sopts.generateLength = opts.generateLength;
+        EXPECT_EQ(evaluateServingPoint(cfg, sys, sopts, 64).fits, fits);
+    }
 }
 
 TEST(Footprint, ParameterShardingByTpAndPp)

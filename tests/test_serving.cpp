@@ -223,8 +223,10 @@ TEST(Tpu, PodTopology)
     System pod = presets::tpuV4Pod(2);
     EXPECT_EQ(pod.totalDevices(), 128);
     EXPECT_EQ(pod.devicesPerNode, 64);
-    EXPECT_EQ(pod.linkForGroup(64).name, "ICI-v4");
-    EXPECT_EQ(pod.linkForGroup(65).name, "DCN");
+    EXPECT_EQ(groupScopeFor(pod, 64), GroupScope::IntraNode);
+    EXPECT_EQ(groupScopeFor(pod, 65), GroupScope::InterNode);
+    EXPECT_EQ(pod.intraLink.name, "ICI-v4");
+    EXPECT_EQ(pod.interLink.name, "DCN");
 }
 
 TEST(Tpu, TrainsGptInBf16)

@@ -24,12 +24,13 @@
 #include <fstream>
 #include <functional>
 #include <iostream>
-#include <map>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "core/optimus.h"
+#include "util/names.h"
 
 using namespace optimus;
 
@@ -103,12 +104,8 @@ Recompute
 resolveRecompute(const Args &args)
 {
     std::string name = args.get("recompute", "full");
-    if (name == "none")
-        return Recompute::None;
-    if (name == "selective")
-        return Recompute::Selective;
-    if (name == "full")
-        return Recompute::Full;
+    if (std::optional<Recompute> r = recomputeFromName(name))
+        return *r;
     throw ConfigError("unknown --recompute value: " + name);
 }
 
@@ -659,22 +656,8 @@ cmdKernels(const Args &args)
 DramTech
 resolveDramTech(const std::string &name)
 {
-    if (name == "gddr6")
-        return dram::gddr6();
-    if (name == "hbm2")
-        return dram::hbm2();
-    if (name == "hbm2e")
-        return dram::hbm2e();
-    if (name == "hbm3-26")
-        return dram::hbm3_26();
-    if (name == "hbm3")
-        return dram::hbm3();
-    if (name == "hbm3e")
-        return dram::hbm3e();
-    if (name == "hbm4")
-        return dram::hbm4();
-    if (name == "hbmx")
-        return dram::hbmx();
+    if (std::optional<DramTech> tech = dram::byName(name))
+        return *tech;
     throw ConfigError("unknown --dram value: " + name);
 }
 
@@ -887,7 +870,7 @@ cmdDiff(const Args &args)
 }
 
 int
-cmdVersion()
+cmdVersion(const Args &)
 {
     std::cout << report::versionLine() << "\n";
     return 0;
@@ -907,6 +890,15 @@ cmdPresets()
         std::cout << "  " << name << "\n";
     return 0;
 }
+
+/** The subcommands by name. */
+constexpr Named<int (*)(const Args &)> kCommands[] = {
+    {"train", cmdTrain}, {"infer", cmdInfer}, {"serve", cmdServe},
+    {"plan", cmdPlan}, {"sensitivity", cmdSensitivity},
+    {"memory", cmdMemory}, {"lint", cmdLint}, {"trace", cmdTrace},
+    {"kernels", cmdKernels}, {"dse", cmdDse}, {"record", cmdRecord},
+    {"diff", cmdDiff}, {"version", cmdVersion},
+};
 
 int
 usage()
@@ -969,32 +961,11 @@ main(int argc, char **argv)
 {
     try {
         Args args = Flags::parse(argc, argv);
-        if (args.command() == "train")
-            return cmdTrain(args);
-        if (args.command() == "infer")
-            return cmdInfer(args);
-        if (args.command() == "serve")
-            return cmdServe(args);
-        if (args.command() == "plan")
-            return cmdPlan(args);
-        if (args.command() == "sensitivity")
-            return cmdSensitivity(args);
-        if (args.command() == "memory")
-            return cmdMemory(args);
-        if (args.command() == "lint")
-            return cmdLint(args);
-        if (args.command() == "trace")
-            return cmdTrace(args);
-        if (args.command() == "kernels")
-            return cmdKernels(args);
-        if (args.command() == "dse")
-            return cmdDse(args);
-        if (args.command() == "record")
-            return cmdRecord(args);
-        if (args.command() == "diff")
-            return cmdDiff(args);
-        if (args.command() == "version" || args.has("version"))
-            return cmdVersion();
+        if (auto cmd = findNamed(kCommands, args.command()))
+            return (*cmd)(args);
+        // --version outranks the presets listing.
+        if (args.has("version"))
+            return cmdVersion(args);
         if (args.command() == "presets")
             return cmdPresets();
         return usage();
