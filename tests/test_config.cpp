@@ -153,6 +153,50 @@ TEST(Deserialize, OptionsFromJson)
     EXPECT_EQ(i.generateLength, 64);
 }
 
+TEST(Deserialize, ReaderOnlyDefaults)
+{
+    // numKvHeads defaults to numHeads unless the document or the
+    // preset sets it; an explicit 0 is still rejected.
+    const char *mha = R"({"name": "m", "numLayers": 2, "hiddenSize": 64,
+                          "numHeads": 4, "ffnHidden": 256,
+                          "vocabSize": 100})";
+    EXPECT_EQ(config::modelFromJson(JsonValue::parse(mha)).numKvHeads, 4);
+    EXPECT_EQ(config::modelFromJson(JsonValue::parse(
+                  R"({"preset": "llama2-70b", "numHeads": 32})"))
+                  .numKvHeads,
+              8);
+    EXPECT_THROW(config::modelFromJson(JsonValue::parse(
+                     R"({"preset": "gpt-7b", "numKvHeads": 0})")),
+                 ConfigError);
+
+    // Sub-2-byte training stores 1-byte activations unless told.
+    auto training = [](const char *text) {
+        return config::trainingOptionsFromJson(JsonValue::parse(text));
+    };
+    EXPECT_DOUBLE_EQ(training(R"({"precision": "fp8"})")
+                         .memory.activationBytes,
+                     1.0);
+    EXPECT_DOUBLE_EQ(training(R"({"precision": "fp8",
+                                  "activationBytes": 2})")
+                         .memory.activationBytes,
+                     2.0);
+    EXPECT_DOUBLE_EQ(training("{}").memory.activationBytes, 2.0);
+
+    // The memory model follows flashAttention.
+    EXPECT_TRUE(training(R"({"flashAttention": true})")
+                    .memory.flashAttention);
+
+    // The KV cache is stored at the precision unless told.
+    auto inference = [](const char *text) {
+        return config::inferenceOptionsFromJson(JsonValue::parse(text));
+    };
+    EXPECT_EQ(inference(R"({"precision": "fp8"})").kvPrecision,
+              Precision::FP8);
+    EXPECT_EQ(inference(R"({"precision": "fp8", "kvPrecision": "fp16"})")
+                  .kvPrecision,
+              Precision::FP16);
+}
+
 /** The ConfigError text @p f throws, or "no error". */
 template <class F>
 std::string
@@ -342,15 +386,6 @@ readExampleConfig(const std::string &file)
     return JsonValue::parse(ss.str());
 }
 
-/** Read @p j, write it, and read the text back: same text. */
-template <class Read>
-void
-expectReadWriteRead(const JsonValue &j, Read read)
-{
-    const std::string text = config::toJson(read(j)).dump();
-    EXPECT_EQ(config::toJson(read(JsonValue::parse(text))).dump(), text);
-}
-
 TEST(RoundTrip, ExampleConfigsReadWriteRead)
 {
     for (const char *file : {"train_gpt175b_dgxa100.json",
@@ -358,17 +393,16 @@ TEST(RoundTrip, ExampleConfigsReadWriteRead)
                              "custom_hbm3e_a100.json"}) {
         SCOPED_TRACE(file);
         const JsonValue cfg = readExampleConfig(file);
-        expectReadWriteRead(cfg.at("model"), config::modelFromJson);
-        expectReadWriteRead(cfg.at("system"), config::systemFromJson);
-        if (cfg.has("parallel"))
-            expectReadWriteRead(cfg.at("parallel"),
-                                config::parallelFromJson);
-        if (cfg.has("training"))
-            expectReadWriteRead(cfg.at("training"),
-                                config::trainingOptionsFromJson);
-        if (cfg.has("inference"))
-            expectReadWriteRead(cfg.at("inference"),
-                                config::inferenceOptionsFromJson);
+        // Read, write, and read the written text again.
+        auto check = [&](const char *key, auto read) {
+            if (cfg.has(key))
+                expectTextFixedPoint(read(cfg.at(key)), read);
+        };
+        check("model", config::modelFromJson);
+        check("system", config::systemFromJson);
+        check("parallel", config::parallelFromJson);
+        check("training", config::trainingOptionsFromJson);
+        check("inference", config::inferenceOptionsFromJson);
     }
 }
 
